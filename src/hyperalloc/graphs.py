@@ -282,18 +282,19 @@ def execution_flows(sl: SemiLattice, cap: int = DEFAULT_FLOW_CAP) -> list:
         raise FlowExplosion(f"{total} execution flows exceed cap {cap}")
     flows = []
     for ci, comp in enumerate(sl.components, start=1):
+        # Iterative (no recursion limit); ascending successors keep the order.
         path = [comp.top]
-
-        def walk(v):
-            if v.is_virtual_bottom:
-                flows.append(ExecutionFlow(tuple(path), ci))
-                return
-            for w in sl.succ[v]:  # successors stored in ascending order
-                path.append(w)
-                walk(w)
+        pending = [iter(sl.succ[comp.top])]
+        while pending:
+            w = next(pending[-1], None)
+            if w is None:
+                pending.pop()
                 path.pop()
-
-        walk(comp.top)
+            elif w.is_virtual_bottom:
+                flows.append(ExecutionFlow((*path, w), ci))
+            else:
+                path.append(w)
+                pending.append(iter(sl.succ[w]))
     return flows
 
 

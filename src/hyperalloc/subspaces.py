@@ -41,14 +41,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import HyperallocError
-from .graphs import (
-    AlgorithmId,
-    SemiLattice,
-    adjacency_powers,
-    flow_critical_cost,
-    flow_predecessors,
-    max_flow_length,
-)
+from .graphs import AlgorithmId, SemiLattice, flow_critical_cost, flow_predecessors
 from .network import com_t_max, ict, round_trip_matrix
 
 
@@ -121,10 +114,12 @@ class CapabilityState:
     Rows follow the lifted vertex order of the task's flow lattice
     (virtual starts, real algorithms ascending, virtual finishes);
     columns follow node index order.  ``normalizers`` records the row
-    normalisation constant applied at initialisation.
+    normalisation constant applied at initialisation.  ``pred_index`` row
+    r lists row r's flow-predecessor rows ascending, right-padded with the
+    sentinel ``len(pi)``.
     """
 
-    def __init__(self, sl, nodes, pi, capital, capable, exec_times, pr, normalizers, pred_rows, ct, step):
+    def __init__(self, sl, nodes, pi, capital, capable, exec_times, pr, normalizers, pred_index, ct, step):
         self.sl = sl
         self.nodes = nodes
         self.col_index = {label: i for i, label in enumerate(nodes)}
@@ -136,7 +131,7 @@ class CapabilityState:
         self.exec_times = exec_times
         self.pr = pr
         self.normalizers = normalizers
-        self.pred_rows = pred_rows
+        self.pred_index = pred_index
         self.ct = ct
         self.step = step
         self.iterations = 0
@@ -241,10 +236,10 @@ def pi_init(
                 raise ValueError(f"assignment references unknown node {label}")
             host_col[sl.position[vid]] = nodes.index(label)
 
-    pred_rows = []
-    for v in rows:
-        preds = flow_predecessors(sl, v)
-        pred_rows.append(tuple(sorted(sl.position[p] for p in preds)))
+    pred_rows = tuple(tuple(sorted(sl.position[p] for p in flow_predecessors(sl, v))) for v in rows)
+    pred_index = np.full((n_rows, max(map(len, pred_rows), default=0)), n_rows, dtype=np.intp)
+    for r, preds in enumerate(pred_rows):
+        pred_index[r, : len(preds)] = preds
 
     a1_override = a1_override or {}
     a2_override = a2_override or {}
@@ -292,13 +287,25 @@ def pi_init(
         et,
         pr,
         normalizers,
-        tuple(pred_rows),
+        pred_index,
         ct,
         step,
     )
 
 
-def omega_update(state: CapabilityState) -> np.ndarray:
+def _denominators(state: CapabilityState, host) -> np.ndarray:
+    """Per row, round-trip totals from each node to the hosts ``host`` of
+    the row's flow predecessors; padding adds a zero row, which is exact."""
+    n_nodes = len(state.nodes)
+    ct_rows = np.vstack([state.ct.T, np.zeros(n_nodes)])
+    hosts = np.append(host, n_nodes)[state.pred_index]
+    denom = np.zeros(state.pi.shape)
+    for j in range(hosts.shape[1]):
+        denom += ct_rows[hosts[:, j]]
+    return denom
+
+
+def omega_update(state: CapabilityState, denom=None) -> np.ndarray:
     """Zero-sum drift matrix for one iteration of the dynamics.
 
     Raw pull of node i for a row is the execution rate (reciprocal
@@ -308,27 +315,21 @@ def omega_update(state: CapabilityState) -> np.ndarray:
     are normalised over capable entries and shifted to zero sum, scaled
     by the step size; rows with no pull (or a single capable node) do
     not drift.
+
+    ``denom`` passes in those totals for the current most-likely hosts.
+    Each is summed left to right in ascending predecessor row order, and
+    the report bytes depend on it: a matmul or a pairwise sum rounds some
+    totals differently.
     """
-    pi = state.pi
-    n_rows, n_nodes = pi.shape
-    arg = np.argmax(pi, axis=1)
-    omega = np.zeros_like(pi)
-    for r in range(n_rows):
-        mask = state.capable[r]
-        raw = state.pr[r].copy()
-        preds = state.pred_rows[r]
-        if preds:
-            denom = state.ct[:, arg[list(preds)]].sum(axis=1)
-            positive = denom > 0
-            raw = np.where(positive, np.divide(raw, np.where(positive, denom, 1.0)), raw)
-        raw = raw * mask
-        mass = raw.sum()
-        if mass <= 0:
-            continue
-        u = raw / mass
-        m = int(mask.sum())
-        omega[r, mask] = state.step * (u[mask] - 1.0 / m)
-    return omega
+    if denom is None:
+        denom = _denominators(state, np.argmax(state.pi, axis=1))
+    raw = np.divide(state.pr, denom, out=state.pr.copy(), where=denom > 0)
+    raw *= state.capable
+    mass = raw.sum(axis=1, keepdims=True)
+    drifts = state.capable & (mass > 0)
+    u = np.divide(raw, mass, out=np.zeros_like(raw), where=drifts)
+    share = 1.0 / state.capable.sum(axis=1, keepdims=True)
+    return np.where(drifts, state.step * (u - share), 0.0)
 
 
 def pi_limit(state: CapabilityState, tol: float = 1e-6, max_iter: int = 10_000) -> CapabilityState:
@@ -342,11 +343,16 @@ def pi_limit(state: CapabilityState, tol: float = 1e-6, max_iter: int = 10_000) 
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    incapable = ~state.capable
     converged = False
+    host = None
     for _ in range(max_iter):
-        omega = omega_update(state)
-        new = np.clip(state.pi + omega, 0.0, 1.0)
-        new[~state.capable] = 0.0
+        now = np.argmax(state.pi, axis=1)
+        if host is None or not np.array_equal(now, host):
+            host, denom = now, _denominators(state, now)
+        new = state.pi + omega_update(state, denom)
+        np.clip(new, 0.0, 1.0, out=new)
+        new[incapable] = 0.0
         new /= new.sum(axis=1, keepdims=True)
         change = float(np.abs(new - state.pi).max())
         state.pi = new
@@ -412,8 +418,7 @@ def overall_comm_bound(state: CapabilityState, dt, sl: SemiLattice = None) -> fl
     on ties); each lattice edge between real vertices costs the
     round-trip entry ``dt[host(u), host(v)]`` and edges touching virtual
     vertices cost nothing.  The result is the exact maximum over
-    execution flows, computed by longest-path dynamic programming, with
-    the adjacency power stack bounding the walk lengths that can occur.
+    execution flows, computed by longest-path dynamic programming.
     """
     sl = sl or state.sl
     dt = np.asarray(dt, dtype=float)
@@ -424,12 +429,6 @@ def overall_comm_bound(state: CapabilityState, dt, sl: SemiLattice = None) -> fl
         return 0.0
 
     host = np.argmax(state.capital, axis=1)
-    length = max(max_flow_length(sl), 1)
-    powers = adjacency_powers(sl, length)
-    walk_lengths = [p + 1 for p, mat in enumerate(powers) if mat.any()]
-    longest = max(walk_lengths, default=0)
-    if longest != max_flow_length(sl):
-        raise SubspaceError("adjacency power walk bound disagrees with the lattice")
 
     def edge_cost(u, v):
         if u.is_virtual or v.is_virtual:

@@ -7,6 +7,8 @@ library bug is unlikely to be mirrored here.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 # ---------------------------------------------------------------- flows
 
@@ -226,3 +228,69 @@ def random_network(rng, max_nodes=6):
         for a, b in pairs
     ]
     return list(zip(labels, kinds)), links
+
+
+# -------------------------------------------------------------- dynamics
+
+
+def predecessor_rows(state):
+    """Per lattice row, the rows of its real flow ancestors, ascending."""
+    sl = state.sl
+    rows = []
+    for v in sl.order:
+        seen, frontier = set(), [v]
+        while frontier:
+            for w in sl.pred[frontier.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        rows.append(sorted(sl.position[w] for w in seen if not w.is_virtual))
+    return rows
+
+
+def omega_update_rows(state):
+    """Zero-sum drift matrix computed one row at a time.
+
+    The per-row form the library's whole-matrix ``omega_update`` must
+    match bit for bit: each denominator is numpy's reduction over the
+    gathered predecessor columns of ``ct``, in ascending predecessor row
+    order.
+    """
+    pi = state.pi
+    n_rows, _ = pi.shape
+    arg = np.argmax(pi, axis=1)
+    omega = np.zeros_like(pi)
+    for r, preds in enumerate(predecessor_rows(state)):
+        mask = state.capable[r]
+        raw = state.pr[r].copy()
+        if preds:
+            denom = state.ct[:, arg[list(preds)]].sum(axis=1)
+            positive = denom > 0
+            raw = np.where(positive, np.divide(raw, np.where(positive, denom, 1.0)), raw)
+        raw = raw * mask
+        mass = raw.sum()
+        if mass <= 0:
+            continue
+        u = raw / mass
+        m = int(mask.sum())
+        omega[r, mask] = state.step * (u[mask] - 1.0 / m)
+    return omega
+
+
+def pi_limit_rows(state, tol, max_iter):
+    """The dynamics iterated with ``omega_update_rows``; mutates ``state``."""
+    converged = False
+    for _ in range(max_iter):
+        omega = omega_update_rows(state)
+        new = np.clip(state.pi + omega, 0.0, 1.0)
+        new[~state.capable] = 0.0
+        new /= new.sum(axis=1, keepdims=True)
+        change = float(np.abs(new - state.pi).max())
+        state.pi = new
+        np.maximum(state.capital, new, out=state.capital)
+        state.iterations += 1
+        if change < tol:
+            converged = True
+            break
+    state.converged = converged
+    return state

@@ -94,6 +94,16 @@ def test_reference_flows_and_count():
     ]
 
 
+def test_long_chain_enumerates_without_recursion():
+    n = 1500
+    sl = to_semilattice(build_graph(n, [(v, v + 1) for v in range(1, n)]))
+    flows = execution_flows(sl)
+    assert len(flows) == 1
+    assert flows[0].vertices[0] == sl.components[0].top
+    assert flows[0].vertices[-1] == sl.components[0].bottom
+    assert real_path(flows[0]) == tuple(range(1, n + 1))
+
+
 def test_flow_cap_checked_before_enumeration():
     # 21 stacked diamonds -> 2^21 flows, far over the cap, but the count
     # is a cheap DP so the guard must trigger fast.

@@ -25,7 +25,13 @@ from hyperalloc.subspaces import (
     pi_limit,
 )
 
-from _oracles import random_dag
+from _oracles import (
+    omega_update_rows,
+    pi_limit_rows,
+    predecessor_rows,
+    random_dag,
+    random_network,
+)
 
 EDGES = [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (5, 7), (6, 8), (7, 8)]
 NODES = ("R1", "R2", "R3", "F", "C")
@@ -302,3 +308,84 @@ def test_overall_comm_bound_matches_flow_enumeration():
     assert overall_comm_bound(state, dt) == expected
     with pytest.raises(ValueError):
         overall_comm_bound(state, np.zeros((2, 2)))
+
+
+def random_networked_states(rng, count):
+    """Builders of equal fresh states on random networks and DAGs.
+
+    Link costs and execution times are drawn from continuous ranges, so
+    sums of them round differently when added in a different order.
+    """
+    builders = []
+    while len(builders) < count:
+        declarations, links = random_network(rng, max_nodes=10)
+        net = NetworkModel(
+            declarations,
+            [
+                Link(a, b, rng.uniform(0.1, 30.0), ExponentialDelay(rng.uniform(0.5, 8.0)))
+                for a, b, _, _ in links
+            ],
+        )
+        nodes = tuple(ref.label for ref in net.ordered)
+        n, edges = random_dag(rng, max_vertices=20, p=0.35)
+        sl = to_semilattice(build_graph(n, edges))
+        exec_times = {label: [rng.uniform(0.5, 5.0) for _ in range(n)] for label in nodes}
+        incapable = [(label, v) for label in nodes[1:] for v in range(1, n + 1) if rng.random() < 0.15]
+
+        def build(sl=sl, nodes=nodes, exec_times=exec_times, incapable=incapable, net=net):
+            return pi_init(sl, nodes, exec_times, incapable=incapable, net=net)
+
+        try:
+            build()
+        except DegenerateRow:
+            continue
+        builders.append(build)
+    return builders
+
+
+def test_dynamics_match_per_row_reference_bit_for_bit():
+    rng = random.Random(5)
+    pinned = wide = moved = 0
+    for build in random_networked_states(rng, 20):
+        ours, ref, probe = build(), build(), build()
+        assert ours.ct.any()
+        pinned += not ours.capable.all()
+        pred_rows = predecessor_rows(ours)
+        wide += max(map(len, pred_rows)) >= 8
+        assert np.array_equal(omega_update(ours), omega_update_rows(ours))
+
+        pi_limit(ours, tol=1e-9, max_iter=60)
+        pi_limit_rows(ref, tol=1e-9, max_iter=60)
+        assert np.array_equal(ours.pi, ref.pi)
+        assert np.array_equal(ours.capital, ref.capital)
+        assert ours.iterations == ref.iterations
+        assert ours.converged == ref.converged
+        assert np.array_equal(omega_update(ours), omega_update_rows(ours))
+
+        # Replay the run: does the most likely host of a flow predecessor
+        # move after the first iteration?  Then denominators computed once
+        # would have gone stale.
+        preds = sorted({p for row in pred_rows for p in row})
+        first = np.argmax(probe.pi[preds], axis=1)
+        for _ in range(ref.iterations - 1):
+            pi_limit_rows(probe, tol=1e-30, max_iter=1)
+            if not np.array_equal(np.argmax(probe.pi[preds], axis=1), first):
+                moved += 1
+                break
+    assert pinned and wide and moved
+
+
+def test_overall_comm_bound_on_deep_lattice():
+    # 70 fully linked layers of width 2 have 2**70 flows, more walks
+    # than int64 adjacency powers can count.
+    layers = 70
+    edges = [
+        (2 * i + a, 2 * i + 2 + b)
+        for i in range(layers - 1)
+        for a in (1, 2)
+        for b in (1, 2)
+    ]
+    sl = to_semilattice(build_graph(2 * layers, edges))
+    state = pi_init(sl, ("X", "Y"), {"X": [1.0] * 2 * layers, "Y": [2.0] * 2 * layers})
+    # Every edge between real vertices costs 1 whichever hosts hold them.
+    assert overall_comm_bound(state, np.ones((2, 2))) == layers - 1
