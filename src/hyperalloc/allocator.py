@@ -18,12 +18,16 @@ entries its insertion would shift.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import HyperallocError
 from .subspaces import SubspaceScore, combine_scores
 
 IDLE_TASK = "idle"
+_START = attrgetter("t_s")
+_END = attrgetter("t_e")
 
 # decision rationale codes
 MAX_SCORE = "max-score"
@@ -98,7 +102,9 @@ def schedule_impact(schedule, task, duration, arrival, window=(0.0, math.inf), n
     window start)`` once every already-started entry has finished.
     Entries starting at or after the arrival instant are displaced
     rightward as needed, in cascade; nothing moves left and running
-    entries are never touched.  The schedule itself is not modified.
+    entries are never touched.  The schedule must be sorted by start with
+    no overlaps, so its ends ascend: entries that ended by the arrival
+    are skipped (report indices still count them).  It is not modified.
 
     Raises WindowViolation when the claimed slot would end after the
     window deadline.
@@ -107,7 +113,9 @@ def schedule_impact(schedule, task, duration, arrival, window=(0.0, math.inf), n
         raise ValueError(f"duration must be positive, got {duration}")
     lo, hi = window
     earliest = max(arrival, lo)
-    busy_end = max((e.t_e for e in schedule if e.t_s < arrival), default=0.0)
+    live = bisect_right(schedule, arrival, key=_END)
+    tail = schedule[live:]
+    busy_end = max((e.t_e for e in tail if e.t_s < arrival), default=0.0)
     start = max(earliest, busy_end)
     end = start + duration
     if end > hi:
@@ -115,7 +123,7 @@ def schedule_impact(schedule, task, duration, arrival, window=(0.0, math.inf), n
 
     report = ImpactReport(node=node, start=start, end=end)
     frontier = end
-    for i, entry in enumerate(schedule):
+    for i, entry in enumerate(tail, start=live):
         if entry.t_s < arrival or entry.t_e <= start:
             continue  # already running, or finished before the new slot
         if entry.t_s < frontier:
@@ -210,12 +218,11 @@ def commit_decision(decision: AllocationDecision, schedules) -> None:
         entry.t_e = new_start + length
         entry.score = new_score
 
-    ends_before = [e.t_e for e in schedule if e.t_e <= impact.start]
-    waited_from = max(ends_before + [decision.arrival])
+    ended = bisect_right(schedule, impact.start, key=_END)
+    waited_from = max(schedule[ended - 1].t_e, decision.arrival) if ended else decision.arrival
     if waited_from < impact.start:
-        schedule.append(ScheduleEntry(IDLE_TASK, waited_from, impact.start, forced_idle=True))
-    schedule.append(ScheduleEntry(decision.task, impact.start, impact.end, score=winner.combined))
-    schedule.sort(key=lambda e: e.t_s)
+        insort(schedule, ScheduleEntry(IDLE_TASK, waited_from, impact.start, forced_idle=True), key=_START)
+    insort(schedule, ScheduleEntry(decision.task, impact.start, impact.end, score=winner.combined), key=_START)
 
 
 def run_arrivals(arrivals, nodes, candidates_fn, score_fn, duration_fn, window_fn, rescore_fn):

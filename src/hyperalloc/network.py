@@ -147,12 +147,16 @@ class RequestProfile:
                 raise NetworkError(f"request count must be a non-negative integer, got {k!r}")
             if k:
                 self._counts[(task, src, dst)] = k
+        targets = {}
+        for task, src, dst in self._counts:
+            targets.setdefault((task, src), []).append(dst)
+        self._targets = {key: tuple(sorted(dsts)) for key, dsts in targets.items()}
 
     def count(self, task, src, dst) -> int:
         return self._counts.get((task, src, dst), 0)
 
     def targets(self, task, src) -> tuple:
-        return tuple(sorted(dst for (t, s, dst), k in self._counts.items() if t == task and s == src))
+        return self._targets.get((task, src), ())
 
     def items(self):
         return sorted(self._counts.items())

@@ -89,6 +89,7 @@ class _Engine:
         self.warnings = []
         self._warned = set()
         self._durations = {}
+        self._ict = dict(sc.overrides_comm)  # overrides, then expected scores once computed
 
     def warn(self, message: str) -> None:
         if message not in self._warned:
@@ -152,9 +153,9 @@ class _Engine:
         return label, scores
 
     def _comm_value(self, task_id, arrival_idx, label, idx) -> float:
-        override = self.sc.overrides_comm.get((task_id, label))
-        if override is not None:
-            return override
+        known = self._ict.get((task_id, label))
+        if known is not None:
+            return known
         rng = None
         if self.opts.mode == "sample":
             rng = substream(self.opts.seed, 1, arrival_idx, idx)
@@ -165,7 +166,11 @@ class _Engine:
                 f"task {task_id} on {label}: round-trip total {comt:.6g} "
                 f"exceeds deadline {deadline:.6g}"
             )
-        return ict(comt)
+        value = ict(comt)
+        if self.opts.mode == "expected":
+            # an expected comT depends only on the network and profile, fixed for the run
+            self._ict[(task_id, label)] = value
+        return value
 
     def duration(self, task_id: str, label: str) -> float:
         key = (task_id, label)

@@ -115,9 +115,11 @@ def _kv(token):
 
 
 def _parse_number(value, allow_inf=False):
-    if allow_inf and value.lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(value)
+    """A finite float, or +inf where ``allow_inf``; ValueError otherwise."""
+    number = float(value)
+    if math.isfinite(number) or (allow_inf and number == math.inf):
+        return number
+    raise ValueError(f"not a finite number: {value}")
 
 
 class _Parser:
@@ -212,7 +214,7 @@ class _Parser:
                 c = _parse_number(params["c"])
                 lam = _parse_number(params["lambda"])
             except ValueError:
-                self.bad(line_no, _col(raw, tokens[3]), "link parameters must be numbers")
+                self.bad(line_no, _col(raw, tokens[3]), "link parameters must be finite numbers")
                 return
             if c < 0 or lam <= 0:
                 self.bad(line_no, _col(raw, tokens[3]), "need c >= 0 and lambda > 0")
@@ -287,7 +289,7 @@ class _Parser:
                 a = _parse_number(params["a"])
                 b = _parse_number(params["b"], allow_inf=True)
             except ValueError:
-                self.bad(line_no, 1, "window bounds must be numbers")
+                self.bad(line_no, 1, "window needs a finite a and a finite or inf b")
                 return
             if a < 0 or b < a:
                 self.bad(line_no, 1, "window needs 0 <= a <= b")
@@ -321,7 +323,7 @@ class _Parser:
             try:
                 row = [_parse_number(t) for t in tokens[2:]]
             except ValueError:
-                self.bad(line_no, 1, "execution times must be numbers")
+                self.bad(line_no, 1, "execution times must be finite numbers")
                 return
             if any(v < 0 for v in row):
                 self.bad(line_no, 1, "execution times must be >= 0")
@@ -363,7 +365,7 @@ class _Parser:
         try:
             t = _parse_number(params["t"])
         except ValueError:
-            self.bad(line_no, 1, "arrival time must be a number")
+            self.bad(line_no, 1, "arrival time must be a finite number")
             return
         if t < 0:
             self.bad(line_no, 1, "arrival time must be >= 0")

@@ -7,7 +7,11 @@ library bug is unlikely to be mirrored here.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from hyperalloc.allocator import IDLE_TASK, ImpactReport, ScheduleEntry, WindowViolation
 
 
 # ---------------------------------------------------------------- flows
@@ -145,6 +149,54 @@ def oracle_insert(entries, arrival, duration, window):
         else:
             frontier = t_e
     return start, end, shifts
+
+
+def schedule_impact_full(schedule, task, duration, arrival, window=(0.0, math.inf), node=""):
+    """Reference for ``allocator.schedule_impact`` that scans every entry."""
+    if not duration > 0:
+        raise ValueError(f"duration must be positive, got {duration}")
+    lo, hi = window
+    earliest = max(arrival, lo)
+    busy_end = max((e.t_e for e in schedule if e.t_s < arrival), default=0.0)
+    start = max(earliest, busy_end)
+    end = start + duration
+    if end > hi:
+        raise WindowViolation(f"task {task} would end at {end}, after deadline {hi}")
+
+    report = ImpactReport(node=node, start=start, end=end)
+    frontier = end
+    for i, entry in enumerate(schedule):
+        if entry.t_s < arrival or entry.t_e <= start:
+            continue
+        if entry.t_s < frontier:
+            new_start = frontier
+            report.affected.append((i + 1, entry.t_s, new_start))
+            report.shifts.append((i + 1, entry, new_start))
+            frontier = new_start + entry.duration
+        else:
+            frontier = entry.t_e
+    return report
+
+
+def commit_decision_full(decision, schedules):
+    """Reference for ``allocator.commit_decision``: full scan, append, re-sort."""
+    if decision.chosen is None:
+        return
+    winner = next(c for c in decision.candidates if c.node == decision.chosen)
+    impact = winner.impact
+    schedule = schedules[winner.node]
+    for _, entry, new_start, new_score in impact.rescored:
+        length = entry.duration
+        entry.t_s = new_start
+        entry.t_e = new_start + length
+        entry.score = new_score
+
+    ends_before = [e.t_e for e in schedule if e.t_e <= impact.start]
+    waited_from = max(ends_before + [decision.arrival])
+    if waited_from < impact.start:
+        schedule.append(ScheduleEntry(IDLE_TASK, waited_from, impact.start, forced_idle=True))
+    schedule.append(ScheduleEntry(decision.task, impact.start, impact.end, score=winner.combined))
+    schedule.sort(key=lambda e: e.t_s)
 
 
 def oracle_decide(candidates, combined, schedules, arrival, durations, window, rescore):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from hyperalloc.allocator import (
     NO_CAPABLE_NODE,
     NON_PERTURBING,
     AllocationDecision,
+    CandidateReport,
     ScheduleEntry,
     WindowViolation,
     allocate,
@@ -18,6 +20,8 @@ from hyperalloc.allocator import (
     schedule_impact,
 )
 from hyperalloc.subspaces import Subspace
+
+from _oracles import commit_decision_full, schedule_impact_full
 
 
 def entries(*specs):
@@ -334,6 +338,87 @@ def test_rejected_decision_changes_nothing():
     )
     commit_decision(decision, schedules)
     assert schedules["n1"] == []
+
+
+# ------------------------------------------ live-entry scan vs full scan
+
+
+def _fields(schedule):
+    return [(e.task, e.t_s, e.t_e, e.forced_idle, e.score) for e in schedule]
+
+
+def _late_drop(entry, new_start):
+    return 0.0 if entry.forced_idle or new_start > 6.0 else entry.score
+
+
+def _place(impact_fn, commit_fn, schedule, arrival, duration, window, score):
+    """Insert one task and commit it; None when the window is violated."""
+    try:
+        impact = impact_fn(schedule, "t", duration, arrival, window, node="n1")
+    except WindowViolation:
+        return None
+    assert all(entry is schedule[i - 1] for i, entry, _ in impact.shifts)
+    reallocation_loss(impact, _late_drop)
+    placed = (
+        impact.start,
+        impact.end,
+        list(impact.affected),
+        [(i, new_start) for i, _, new_start in impact.shifts],
+        impact.nv,
+        impact.loss,
+    )
+    winner = CandidateReport("n1", 1, {}, score, True, None, impact, impact.loss)
+    commit_fn(AllocationDecision("t", arrival, 0, "n1", MAX_SCORE, [winner]), {"n1": schedule})
+    return placed
+
+
+def _both(ours, ref, arrival, duration, window, score=0.5):
+    got = _place(schedule_impact, commit_decision, ours, arrival, duration, window, score)
+    want = _place(schedule_impact_full, commit_decision_full, ref, arrival, duration, window, score)
+    assert got == want
+    assert _fields(ours) == _fields(ref)
+    return got
+
+
+@pytest.mark.parametrize(
+    "specs, arrival, window",
+    [
+        ((), 1.0, (0.0, math.inf)),  # empty schedule
+        ((("a", 0.0, 2.0, 1.0), ("b", 3.0, 4.0, 1.0)), 2.0, (0.0, math.inf)),  # arrival at an end
+        ((("a", 0.0, 4.0, 1.0), ("b", 4.0, 5.0, 1.0)), 1.0, (0.0, math.inf)),  # inside a running entry
+        ((("a", 0.0, 1.0, 1.0), ("b", 2.0, 2.5, 1.0), ("c", 5.0, 6.0, 1.0)), 0.5, (3.0, math.inf)),  # idle
+        ((("a", 0.0, 1.0, 1.0), ("b", 1.0, 2.0, 1.0), ("c", 2.0, 3.0, 1.0)), 1.0, (0.0, math.inf)),  # back to back
+        ((("a", 0.0, 1.0, 1.0), ("b", 1.0, 2.0, 1.0), ("c", 3.0, 4.0, 1.0)), 2.0, (0.0, 3.0)),  # violation
+    ],
+)
+def test_live_scan_matches_full_scan_on_edge_cases(specs, arrival, window):
+    _both(entries(*specs), entries(*specs), arrival, 1.5, window)
+
+
+def test_live_scan_indexes_the_full_schedule():
+    specs = (("a", 0.0, 1.0, 1.0), ("b", 1.0, 2.0, 1.0), ("c", 3.0, 4.0, 1.0))
+    placed = _both(entries(*specs), entries(*specs), 2.0, 1.5, (0.0, math.inf))
+    assert placed[2] == [(3, 3.0, 3.5)]
+
+
+def test_live_scan_matches_full_scan_on_random_schedules():
+    rng = random.Random(20240611)
+    seen = {"shifted": 0, "idle": 0, "violated": 0, "at_end": 0}
+    for _ in range(250):
+        ours, ref = [], []
+        t = 0.0
+        for _ in range(rng.randint(1, 12)):
+            t += rng.choice((0.0, 0.5, 1.0, 1.5, 3.0))
+            lo = t + rng.choice((1.0, 2.5)) if rng.random() < 0.3 else 0.0
+            hi = rng.choice((math.inf, math.inf, t + 4.0, t + 8.0))
+            seen["at_end"] += any(e.t_e == t for e in ref)
+            placed = _both(ours, ref, t, rng.choice((0.5, 1.0, 2.0, 2.5)), (lo, hi), rng.choice((0.25, 1.0)))
+            if placed is None:
+                seen["violated"] += 1
+            else:
+                seen["shifted"] += bool(placed[2])
+        seen["idle"] += any(e.forced_idle for e in ref)
+    assert min(seen.values()) > 0, seen
 
 
 # ------------------------------------------------------------ run loop

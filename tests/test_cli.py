@@ -125,6 +125,26 @@ def test_scenario_issues_exit_1(capsys, tmp_path):
     assert any("already declared" in line or "duplicate" in line for line in lines)
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("arrive t=0.0", "arrive t=nan"),
+        ("arrive t=0.0", "arrive t=inf"),
+        ("vertices V1", "window a=nan b=inf\nvertices V1"),
+        ("vertices V1", "window a=0.0 b=nan\nvertices V1"),
+    ],
+)
+def test_non_finite_times_exit_1(capsys, tmp_path, old, new):
+    bad = tmp_path / "bad.scn"
+    text = (SCENARIO_DIR / "minimal.scn").read_text(encoding="utf-8")
+    assert old in text
+    bad.write_text(text.replace(old, new), encoding="utf-8")
+    code, out, err = invoke(capsys, "allocate", "--scenario", str(bad), "--format", "jsonl")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{bad}: line ")
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     code, _, err = invoke(capsys, "allocate", "--scenario", str(tmp_path / "nope.scn"))
     assert code == 2 and err.startswith("error:")

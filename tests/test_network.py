@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -105,6 +106,22 @@ def test_request_profile():
         RequestProfile({("T", "A", "B"): -1})
     with pytest.raises(NetworkError):
         RequestProfile({("T", "A", "B"): 1.5})
+
+
+def test_request_targets_index_matches_brute_force():
+    rng = random.Random(7)
+    tasks, nodes = ("T1", "T2", "T3"), [f"N{i}" for i in range(1, 9)]
+    for _ in range(100):
+        counts = {
+            (rng.choice(tasks), rng.choice(nodes[:3]), rng.choice(nodes)): rng.choice((0, 0, 1, 2, 5))
+            for _ in range(rng.randint(0, 30))
+        }
+        profile = RequestProfile(counts)
+        for task in tasks + ("T9",):
+            for src in nodes:
+                want = tuple(sorted(d for (t, s, d), _ in profile.items() if t == task and s == src))
+                assert profile.targets(task, src) == want
+                assert all(counts[(task, src, d)] > 0 for d in want)
 
 
 def test_com_t_single_hop():

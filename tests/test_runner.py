@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+from hyperalloc import runner
 from hyperalloc.allocator import MAX_SCORE, NO_CAPABLE_NODE, NON_PERTURBING
 from hyperalloc.report import emit_report
 from hyperalloc.runner import (
@@ -162,6 +164,85 @@ def test_deadline_warning_and_no_capable_node(three_robots):
     # only R1's round trip overruns the 300 deadline (372.75 vs 243.25, 239.05)
     assert len(report.warnings) == 1
     assert "R1" in report.warnings[0] and "exceeds deadline" in report.warnings[0]
+
+
+def with_arrivals(text, times):
+    lines = "\n".join(f"arrive t={t} task=T" for t in times)
+    return text.replace("arrive t=0.0 task=T", lines)
+
+
+def count_com_t_max(monkeypatch):
+    calls = []
+    original = runner.com_t_max
+
+    def counting(net, profile, task, src, mode="expected", rng=None):
+        calls.append((task, src))
+        return original(net, profile, task, src, mode, rng)
+
+    monkeypatch.setattr(runner, "com_t_max", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["expected", "sample"])
+def test_com_t_max_calls_per_mode(three_robots, monkeypatch, mode):
+    # R2 keeps its override, so only R1 and R3 are ever scored from the network
+    text = three_robots.replace("override comm T R1 0.00266\n", "")
+    text = with_arrivals(text.replace("override comm T R3 0.00414\n", ""), (0.0, 1.0, 2.0, 3.0))
+    calls = count_com_t_max(monkeypatch)
+    report = run(parse_scenario(text), mode=mode)
+    assert len(report.decisions) == 4
+    arrivals = 1 if mode == "expected" else 4
+    assert calls == [("T", "R1"), ("T", "R3")] * arrivals
+
+
+def test_deadline_warning_is_issued_once_over_many_arrivals(three_robots, monkeypatch):
+    text = strip_overrides(three_robots).replace("window a=0.0 b=inf", "window a=0.0 b=300.0")
+    calls = count_com_t_max(monkeypatch)
+    report = run(parse_scenario(with_arrivals(text, (0.0, 5.0, 10.0))))
+    assert len(calls) == 3
+    assert report.warnings == ["task T on R1: round-trip total 372.75 exceeds deadline 300"]
+
+
+def generated_scenario(seed, nodes=40, tasks=3, vertices=6, arrivals=300):
+    """A connected 40-node scenario with Poisson arrivals, built from one seed."""
+    rng = random.Random(seed)
+    kinds = ["robot"] * (nodes * 3 // 5) + ["fog"] * (nodes // 4)
+    kinds += ["cloud"] * (nodes - len(kinds))
+    labels = [f"N{i}" for i in range(1, nodes + 1)]
+    lines = ["[network]"] + [f"node {n} kind={k}" for n, k in zip(labels, kinds)]
+    pairs = {(labels[rng.randrange(i)], labels[i]) for i in range(1, nodes)}
+    pairs |= {tuple(rng.sample(labels, 2)) for _ in range(nodes // 2)}
+    pairs = {tuple(sorted(p)) for p in pairs}
+    for a, b in sorted(pairs):
+        lines.append(f"link {a} {b} c={rng.randint(1, 40) / 10} lambda={rng.randint(1, 8)}")
+    lines.append("[profile]")
+    for t in range(1, tasks + 1):
+        for src in labels:
+            for dst in rng.sample(labels, 2):
+                if dst != src:
+                    lines.append(f"requests T{t} {src} {dst} k={rng.randint(1, 3)}")
+    for t in range(1, tasks + 1):
+        lines += [f"[task T{t}]", "vertices " + " ".join(f"V{v}" for v in range(1, vertices + 1))]
+        if t == 1:
+            lines.append("window a=0.0 b=60.0")
+        lines += [f"edge V{rng.randrange(1, v)} -> V{v}" for v in range(2, vertices + 1)]
+        for n in labels:
+            lines.append(f"exec {n} " + " ".join(str(rng.randint(1, 20) / 10) for _ in range(vertices)))
+    lines.append("[arrivals]")
+    t = 0.0
+    for _ in range(arrivals):
+        t = round(t + rng.expovariate(4.0), 3)
+        lines.append(f"arrive t={t} task=T{rng.randint(1, tasks)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["expected", "sample"])
+def test_determinism_at_scale(mode):
+    sc = parse_scenario(generated_scenario(5))
+    assert len(sc.nodes) == 40 and len(sc.arrivals) == 300
+    first = emit_report(run(sc, mode=mode, seed=9), "jsonl")
+    second = emit_report(run(parse_scenario(generated_scenario(5)), mode=mode, seed=9), "jsonl")
+    assert first == second
 
 
 def test_inspect_flows(three_robots):

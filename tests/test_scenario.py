@@ -189,6 +189,27 @@ def test_window_validation():
     assert "0 <= a <= b" in str(errors_of(text))
 
 
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ("arrive t=0.0", "arrive t=nan", 13),
+        ("arrive t=0.0", "arrive t=inf", 13),
+        ("edge V1 -> V2", "edge V1 -> V2\nwindow a=nan b=5.0", 9),
+        ("edge V1 -> V2", "edge V1 -> V2\nwindow a=inf b=inf", 9),
+        ("edge V1 -> V2", "edge V1 -> V2\nwindow a=0.0 b=nan", 9),
+        ("edge V1 -> V2", "edge V1 -> V2\nwindow a=0.0 b=-inf", 9),
+        ("c=1.0", "c=inf", 4),
+        ("lambda=2.0", "lambda=nan", 4),
+        ("exec A 1.0 2.0", "exec A nan 2.0", 9),
+    ],
+)
+def test_non_finite_values_are_located_issues(old, new, line):
+    err = errors_of(MINIMAL.replace(old, new))
+    assert isinstance(err, ParseError)
+    # a dropped link or exec row may add a later cascade issue
+    assert err.issues[0].line == line
+
+
 def test_option_validation():
     base = MINIMAL + "\n[options]\n"
     assert "invalid value" in str(errors_of(base + "step 2.0\n"))
