@@ -7,10 +7,10 @@ a path costs twice the constant total plus two exponential draws per hop;
 ``k`` exchanges cost ``2k`` times the constants plus Erlang(2k, rate)
 per hop.
 
-Routing minimises the expected one-way time (constant + mean delay) and
-is resolved once per ordered pair; ties break on the lexicographically
-smallest node-index sequence, which keeps every downstream quantity
-deterministic.
+Routing minimises the expected one-way time (constant + mean delay); one
+search from a source resolves its routes to every other node, and ties
+break on the lexicographically smallest node-index sequence, which keeps
+every downstream quantity deterministic.
 """
 
 from __future__ import annotations
@@ -167,7 +167,10 @@ def shortest_comm_path(net: NetworkModel, a: str, b: str) -> Route:
 
     Dijkstra over hop costs ``constant + 1/rate``; cost ties resolve to
     the lexicographically smallest node-index sequence.  Routes are
-    cached on the model per ordered pair.
+    cached on the model per ordered pair: a miss runs the search from
+    ``a`` to completion and caches the route to every node it reaches.
+    The search for one pair alone would be a prefix of that run, popping
+    the same entries in the same order, so its route is the same.
     """
     src, dst = net.node(a), net.node(b)
     if a == b:
@@ -185,14 +188,12 @@ def shortest_comm_path(net: NetworkModel, a: str, b: str) -> Route:
         if label in settled:
             continue
         settled.add(label)
-        if label == b:
-            route = Route(
+        if hops:
+            net._routes[(a, label)] = Route(
                 tuple(net.ordered[i - 1].label for i in idx_path),
                 hops,
                 cost,
             )
-            net._routes[(a, b)] = route
-            return route
         for neigh, link in net.adjacency[label]:
             if neigh in settled:
                 continue
@@ -200,7 +201,10 @@ def shortest_comm_path(net: NetworkModel, a: str, b: str) -> Route:
                 heap,
                 (cost + link.expected_one_way, idx_path + (net.nodes[neigh].idx,), neigh, hops + (link,)),
             )
-    raise Unreachable(f"no path from {a} to {b}")
+    route = net._routes.get((a, b))
+    if route is None:
+        raise Unreachable(f"no path from {a} to {b}")
+    return route
 
 
 def com_t_pair(net, profile, task, src, dst, mode="expected", rng=None):
@@ -262,7 +266,8 @@ def round_trip_matrix(net: NetworkModel) -> np.ndarray:
     """Expected single round-trip times between every node pair.
 
     Entry (i, j) holds twice the expected one-way route cost between the
-    nodes with indices i+1 and j+1; the diagonal is zero.
+    nodes with indices i+1 and j+1; the diagonal is zero.  On a fresh
+    model this runs one route search per source node.
     """
     n = len(net.ordered)
     out = np.zeros((n, n))

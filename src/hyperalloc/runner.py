@@ -87,14 +87,9 @@ class _Engine:
         self.states = {}
         self.convergence = {}
         self.warnings = []
-        self._warned = set()
+        self._late = set()  # (task, node) pairs already warned about their deadline
         self._durations = {}
         self._ict = dict(sc.overrides_comm)  # overrides, then expected scores once computed
-
-    def warn(self, message: str) -> None:
-        if message not in self._warned:
-            self._warned.add(message)
-            self.warnings.append(message)
 
     def candidates(self, task_id: str) -> list:
         spec = self.sc.tasks[task_id]
@@ -122,7 +117,7 @@ class _Engine:
                 "converged": bool(state.converged),
             }
             if not state.converged:
-                self.warn(
+                self.warnings.append(
                     f"task {task_id}: capability dynamics still moving "
                     f"after {state.iterations} iterations"
                 )
@@ -161,8 +156,10 @@ class _Engine:
             rng = substream(self.opts.seed, 1, arrival_idx, idx)
         comt = com_t_max(self.net, self.profile, task_id, label, self.opts.mode, rng)
         deadline = self.sc.tasks[task_id].window[1]
-        if comt > deadline:
-            self.warn(
+        if comt > deadline and (task_id, label) not in self._late:
+            # once per pair: in sample mode later draws would add a line each
+            self._late.add((task_id, label))
+            self.warnings.append(
                 f"task {task_id} on {label}: round-trip total {comt:.6g} "
                 f"exceeds deadline {deadline:.6g}"
             )
@@ -232,8 +229,8 @@ def _resolve_options(base, mode, seed, subspaces, step, tol, max_iter) -> RunOpt
             raise ValueError(f"step must lie in (0, 1], got {step}")
         opts.step = float(step)
     if tol is not None:
-        if not tol > 0:
-            raise ValueError(f"tol must be positive, got {tol}")
+        if not 0 < tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {tol}")
         opts.tol = float(tol)
     if max_iter is not None:
         if max_iter < 1:

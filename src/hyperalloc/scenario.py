@@ -393,7 +393,7 @@ class _Parser:
                 if not 0 < opts.step <= 1:
                     raise ValueError
             elif name == "tol":
-                opts.tol = float(value)
+                opts.tol = _parse_number(value)
                 if not opts.tol > 0:
                     raise ValueError
             elif name == "max_iter":

@@ -27,9 +27,10 @@ initialisation multiplies two attenuation factors and normalises:
 Updates add a zero-sum drift ``omega`` proportional to the node's
 execution rate for the algorithm divided by the round-trip total to the
 current most-likely hosts of the flow predecessors, then clamp to [0, 1]
-and renormalise.  ``capital`` keeps the running entrywise maximum of
-``pi`` across iterations; incapable pairings are pinned to exactly zero
-throughout.
+and renormalise.  The drift depends on ``pi`` only through those hosts,
+so it is recomputed only when a most-likely host moves.  ``capital``
+keeps the running entrywise maximum of ``pi`` across iterations;
+incapable pairings are pinned to exactly zero throughout.
 """
 
 from __future__ import annotations
@@ -174,10 +175,10 @@ def pi_init(
     are pinned to zero.  ``assignment`` optionally fixes the host node of
     real algorithms for the predecessor round-trip totals; unassigned
     predecessors fall back to the most likely node of their own already
-    initialised row (rows are filled in topological order, so predecessor
-    rows always exist).  ``a1_override``/``a2_override`` map a vertex to
-    a replacement factor (scalar or per-node vector) and exist so callers
-    can reproduce externally supplied factors exactly.
+    initialised row (rows are filled one topological level at a time, so
+    predecessor rows always exist).  ``a1_override``/``a2_override`` map
+    a vertex to a replacement factor (scalar or per-node vector) and exist
+    so callers can reproduce externally supplied factors exactly.
 
     Without a network model all round-trip totals are zero and the
     second factor degenerates to one.
@@ -192,6 +193,8 @@ def pi_init(
     n_rows = len(rows)
     n_real = sl.base.vertex_count
 
+    real_rows = [sl.position[v] for v in rows if not v.is_virtual]
+    real_index = [v.index - 1 for v in rows if not v.is_virtual]
     et = np.zeros((n_rows, n_nodes))
     for c, label in enumerate(nodes):
         if label not in exec_times:
@@ -203,9 +206,7 @@ def pi_init(
             )
         if (row < 0).any():
             raise ValueError(f"execution times must be non-negative ({label})")
-        for v in rows:
-            if not v.is_virtual:
-                et[sl.position[v], c] = row[v.index - 1]
+        et[real_rows, c] = row[real_index]
 
     capable = np.ones((n_rows, n_nodes), dtype=bool)
     for label, index in incapable:
@@ -227,55 +228,66 @@ def pi_init(
     else:
         ct = np.zeros((n_nodes, n_nodes))
 
-    host_col = {}
+    fixed = np.full(n_rows, -1, dtype=np.intp)  # assigned host column per row, or -1
     if assignment:
         for vid, label in assignment.items():
             if vid not in sl.position:
                 raise ValueError(f"assignment references unknown vertex {vid}")
             if label not in nodes:
                 raise ValueError(f"assignment references unknown node {label}")
-            host_col[sl.position[vid]] = nodes.index(label)
+            fixed[sl.position[vid]] = nodes.index(label)
 
     pred_rows = tuple(tuple(sorted(sl.position[p] for p in flow_predecessors(sl, v))) for v in rows)
-    pred_index = np.full((n_rows, max(map(len, pred_rows), default=0)), n_rows, dtype=np.intp)
+    width = np.array([len(preds) for preds in pred_rows], dtype=np.intp)
+    pred_index = np.full((n_rows, width.max(initial=0)), n_rows, dtype=np.intp)
     for r, preds in enumerate(pred_rows):
         pred_index[r, : len(preds)] = preds
 
-    a1_override = a1_override or {}
-    a2_override = a2_override or {}
-    pi = np.zeros((n_rows, n_nodes))
-    normalizers = np.zeros(n_rows)
+    # Rows are filled one topological level at a time: a row's level lies
+    # above those of all its flow predecessors, whose hosts are then known.
+    depth = [0] * n_rows
+    levels = []
     for v in sl.topo:
         r = sl.position[v]
-        et_row = et[r]
-        total = et_row.sum()
-        if total > 0:
-            a1 = np.where(et_row != 0, 1.0 - et_row / total, 1.0)
-        else:
-            a1 = np.ones(n_nodes)
+        depth[r] = 1 + max((depth[p] for p in pred_rows[r]), default=-1)
+        if depth[r] == len(levels):
+            levels.append([])
+        levels[depth[r]].append(r)
+
+    a1 = _attenuation(et)
+    a1_override = a1_override or {}
+    a2_override = a2_override or {}
+    for v in rows:
         if v in a1_override:
-            a1 = _as_factor(a1_override[v], n_nodes, "a1")
+            a1[sl.position[v]] = _as_factor(a1_override[v], n_nodes, "a1")
+    a2_rows = {
+        sl.position[v]: _as_factor(a2_override[v], n_nodes, "a2") for v in rows if v in a2_override
+    }
 
-        kappa = np.zeros(n_nodes)
-        for p in pred_rows[r]:
-            col = host_col.get(p)
-            if col is None:
-                col = int(np.argmax(pi[p]))
-            kappa += ct[:, col]
-        total_kappa = kappa.sum()
-        if total_kappa > 0:
-            a2 = np.where(kappa != 0, 1.0 - kappa / total_kappa, 1.0)
-        else:
-            a2 = np.ones(n_nodes)
-        if v in a2_override:
-            a2 = _as_factor(a2_override[v], n_nodes, "a2")
-
-        raw = a1 * a2 * capable[r]
-        mass = raw.sum()
-        if mass <= 0:
-            raise DegenerateRow(f"row for {v} has no positive mass")
-        pi[r] = raw / mass
-        normalizers[r] = 1.0 / mass
+    host = fixed.copy()
+    pi = np.zeros((n_rows, n_nodes))
+    mass = np.zeros(n_rows)
+    # A row without mass divides by zero here; it is reported below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for level in levels:
+            at = np.array(level)
+            a2 = _attenuation(_denominators(ct, host, pred_index[at, : width[at].max()]))
+            for i, r in enumerate(level):
+                if r in a2_rows:
+                    a2[i] = a2_rows[r]
+            raw = a1[at] * a2 * capable[at]
+            total = raw.sum(axis=1, keepdims=True)
+            mass[at] = total[:, 0]
+            pi[at] = raw / total
+            host[at] = np.where(fixed[at] < 0, pi[at].argmax(axis=1), fixed[at])
+    # Rows filled after an empty one may rest on its meaningless host, but
+    # they follow it in topological order: the first empty row in that
+    # order is the one a row-by-row fill would have stopped at.
+    empty = mass <= 0
+    if empty.any():
+        v = next(v for v in sl.topo if empty[sl.position[v]])
+        raise DegenerateRow(f"row for {v} has no positive mass")
+    normalizers = 1.0 / mass
 
     pr = np.divide(1.0, et, out=np.zeros_like(et), where=et > 0)
     return CapabilityState(
@@ -293,16 +305,29 @@ def pi_init(
     )
 
 
-def _denominators(state: CapabilityState, host) -> np.ndarray:
-    """Per row, round-trip totals from each node to the hosts ``host`` of
-    the row's flow predecessors; padding adds a zero row, which is exact."""
-    n_nodes = len(state.nodes)
-    ct_rows = np.vstack([state.ct.T, np.zeros(n_nodes)])
-    hosts = np.append(host, n_nodes)[state.pred_index]
-    denom = np.zeros(state.pi.shape)
-    for j in range(hosts.shape[1]):
-        denom += ct_rows[hosts[:, j]]
-    return denom
+def _attenuation(x) -> np.ndarray:
+    """Per row, one minus each entry's share of the row total; a zero
+    entry, and so every entry of a zero row, keeps factor one."""
+    total = x.sum(axis=1, keepdims=True)
+    share = np.divide(x, total, out=np.zeros_like(x), where=x != 0)
+    return np.where(x != 0, 1.0 - share, 1.0)
+
+
+def _denominators(ct, host, pred_index) -> np.ndarray:
+    """Per row of ``pred_index``, round-trip totals from each node to the
+    hosts ``host`` of the row's flow predecessors.
+
+    Each total is a running sum, left to right in ascending predecessor
+    order (``np.add.accumulate`` adds strictly in sequence, unlike a
+    matmul or a pairwise ``sum``); the padding sentinel ``len(host)``
+    adds a zero row, which is exact.
+    """
+    n_nodes = len(ct)
+    if not pred_index.shape[1]:
+        return np.zeros((len(pred_index), n_nodes))
+    ct_rows = np.vstack([ct.T, np.zeros(n_nodes)])
+    hosts = np.append(host, n_nodes)[pred_index]
+    return np.add.accumulate(ct_rows[hosts], axis=1)[:, -1]
 
 
 def omega_update(state: CapabilityState, denom=None) -> np.ndarray:
@@ -320,9 +345,13 @@ def omega_update(state: CapabilityState, denom=None) -> np.ndarray:
     Each is summed left to right in ascending predecessor row order, and
     the report bytes depend on it: a matmul or a pairwise sum rounds some
     totals differently.
+
+    The drift depends on ``pi`` only through ``argmax(pi, axis=1)``;
+    ``pi_limit`` calls this once per set of most-likely hosts and adds
+    the same drift until one of them moves.
     """
     if denom is None:
-        denom = _denominators(state, np.argmax(state.pi, axis=1))
+        denom = _denominators(state.ct, state.pi.argmax(axis=1), state.pred_index)
     raw = np.divide(state.pr, denom, out=state.pr.copy(), where=denom > 0)
     raw *= state.capable
     mass = raw.sum(axis=1, keepdims=True)
@@ -335,30 +364,38 @@ def omega_update(state: CapabilityState, denom=None) -> np.ndarray:
 def pi_limit(state: CapabilityState, tol: float = 1e-6, max_iter: int = 10_000) -> CapabilityState:
     """Iterate the dynamics until the entrywise change drops below tol.
 
+    The drift is recomputed only when ``argmax(pi, axis=1)``, the most
+    likely host of some row, moves; as it depends on ``pi`` only through
+    those hosts, every iterate is the same as with a drift recomputed on
+    each iteration.  ``tol`` must be positive and finite.
+
     Mutates and returns ``state``.  Hitting ``max_iter`` without
     converging only flags ``state.converged = False``; the state remains
     usable.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     incapable = ~state.capable
+    change = np.empty_like(state.pi)
     converged = False
-    host = None
+    hosts = None  # the argmax the drift ``omega`` was computed for, as bytes
     for _ in range(max_iter):
-        now = np.argmax(state.pi, axis=1)
-        if host is None or not np.array_equal(now, host):
-            host, denom = now, _denominators(state, now)
-        new = state.pi + omega_update(state, denom)
-        np.clip(new, 0.0, 1.0, out=new)
+        now = state.pi.argmax(axis=1)
+        if now.tobytes() != hosts:
+            hosts = now.tobytes()
+            omega = omega_update(state, _denominators(state.ct, now, state.pred_index))
+        new = state.pi + omega
+        new.clip(0.0, 1.0, out=new)
         new[incapable] = 0.0
         new /= new.sum(axis=1, keepdims=True)
-        change = float(np.abs(new - state.pi).max())
+        np.subtract(new, state.pi, out=change)
+        np.abs(change, out=change)
         state.pi = new
         np.maximum(state.capital, new, out=state.capital)
         state.iterations += 1
-        if change < tol:
+        if change.max() < tol:
             converged = True
             break
     state.converged = converged

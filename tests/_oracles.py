@@ -12,6 +12,9 @@ import math
 import numpy as np
 
 from hyperalloc.allocator import IDLE_TASK, ImpactReport, ScheduleEntry, WindowViolation
+from hyperalloc.graphs import AlgorithmId
+from hyperalloc.network import round_trip_matrix
+from hyperalloc.subspaces import CapabilityState, DegenerateRow
 
 
 # ---------------------------------------------------------------- flows
@@ -285,9 +288,8 @@ def random_network(rng, max_nodes=6):
 # -------------------------------------------------------------- dynamics
 
 
-def predecessor_rows(state):
+def ancestor_rows(sl):
     """Per lattice row, the rows of its real flow ancestors, ascending."""
-    sl = state.sl
     rows = []
     for v in sl.order:
         seen, frontier = set(), [v]
@@ -298,6 +300,73 @@ def predecessor_rows(state):
                     frontier.append(w)
         rows.append(sorted(sl.position[w] for w in seen if not w.is_virtual))
     return rows
+
+
+def predecessor_rows(state):
+    """``ancestor_rows`` of the state's lattice."""
+    return ancestor_rows(state.sl)
+
+
+def pi_init_rows(sl, nodes, exec_times, incapable=(), net=None, assignment=None,
+                 a1_override=None, a2_override=None, step=0.1):
+    """Initial capability state filled one row at a time in topological order.
+
+    The per-row form the library's ``pi_init`` must match bit for bit:
+    each round-trip total adds the ``ct`` column of every flow
+    predecessor's host, in ascending predecessor row order, starting from
+    zero; an unassigned predecessor's host is the argmax of its own row.
+    Assumes valid input.
+    """
+    nodes = tuple(nodes)
+    n_nodes = len(nodes)
+    rows = sl.order
+    n_rows = len(rows)
+    et = np.zeros((n_rows, n_nodes))
+    for c, label in enumerate(nodes):
+        for v in rows:
+            if not v.is_virtual:
+                et[sl.position[v], c] = exec_times[label][v.index - 1]
+    capable = np.ones((n_rows, n_nodes), dtype=bool)
+    for label, index in incapable:
+        capable[sl.position[AlgorithmId(index)], nodes.index(label)] = False
+    ct = round_trip_matrix(net) if net is not None else np.zeros((n_nodes, n_nodes))
+    host_col = {sl.position[v]: nodes.index(label) for v, label in (assignment or {}).items()}
+    preds = ancestor_rows(sl)
+    pred_index = np.full((n_rows, max(map(len, preds), default=0)), n_rows, dtype=np.intp)
+    for r, row in enumerate(preds):
+        pred_index[r, : len(row)] = row
+
+    def factor(value):
+        return np.broadcast_to(np.asarray(value, dtype=float), (n_nodes,))
+
+    pi = np.zeros((n_rows, n_nodes))
+    normalizers = np.zeros(n_rows)
+    for v in sl.topo:
+        r = sl.position[v]
+        total = et[r].sum()
+        a1 = np.where(et[r] != 0, 1.0 - et[r] / total, 1.0) if total > 0 else np.ones(n_nodes)
+        if v in (a1_override or {}):
+            a1 = factor(a1_override[v])
+        kappa = np.zeros(n_nodes)
+        for p in preds[r]:
+            col = host_col.get(p)
+            if col is None:
+                col = int(np.argmax(pi[p]))
+            kappa += ct[:, col]
+        total = kappa.sum()
+        a2 = np.where(kappa != 0, 1.0 - kappa / total, 1.0) if total > 0 else np.ones(n_nodes)
+        if v in (a2_override or {}):
+            a2 = factor(a2_override[v])
+        raw = a1 * a2 * capable[r]
+        mass = raw.sum()
+        if mass <= 0:
+            raise DegenerateRow(f"row for {v} has no positive mass")
+        pi[r] = raw / mass
+        normalizers[r] = 1.0 / mass
+    pr = np.divide(1.0, et, out=np.zeros_like(et), where=et > 0)
+    return CapabilityState(
+        sl, nodes, pi, pi.copy(), capable, et, pr, normalizers, pred_index, ct, step
+    )
 
 
 def omega_update_rows(state):

@@ -145,6 +145,20 @@ def test_non_finite_times_exit_1(capsys, tmp_path, old, new):
     assert len(lines) == 1 and lines[0].startswith(f"{bad}: line ")
 
 
+def test_infinite_tol_is_rejected(capsys, tmp_path):
+    bad = tmp_path / "bad.scn"
+    text = (SCENARIO_DIR / "minimal.scn").read_text(encoding="utf-8")
+    bad.write_text(text + "\n[options]\ntol inf\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "allocate", "--scenario", str(bad))
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{bad}: line ") and "tol" in lines[0]
+
+    code, out, err = invoke(capsys, "allocate", "--scenario", MINIMAL, "--tol", "inf")
+    assert code == 2 and out == ""
+    assert err == "error: tol must be positive and finite, got inf\n"
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     code, _, err = invoke(capsys, "allocate", "--scenario", str(tmp_path / "nope.scn"))
     assert code == 2 and err.startswith("error:")

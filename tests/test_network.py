@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 
@@ -17,6 +18,8 @@ from hyperalloc.network import (
     round_trip_matrix,
     shortest_comm_path,
 )
+
+from _oracles import brute_force_route, random_network
 
 
 def calibrated():
@@ -87,6 +90,62 @@ def test_route_tie_breaks_lexicographically():
         ],
     )
     assert shortest_comm_path(net, "A", "D").path == ("A", "B", "D")
+
+
+def cheapest_path_count(adjacency, src, dst):
+    """Number of simple src -> dst paths of least cost, by exhaustive search."""
+    costs = []
+
+    def extend(v, cost, seen):
+        if v == dst:
+            costs.append(cost)
+            return
+        for w, hop in adjacency[v]:
+            if w not in seen:
+                extend(w, cost + hop, seen | {w})
+
+    extend(src, 0.0, {src})
+    return costs.count(min(costs))
+
+
+def test_one_search_per_source_matches_brute_force(monkeypatch):
+    searches = []
+    pop = heapq.heappop
+
+    def counting(heap):
+        item = pop(heap)
+        if not item[3]:  # only the source entry has no hops
+            searches.append(item[2])
+        return item
+
+    monkeypatch.setattr(heapq, "heappop", counting)
+    rng = random.Random(503)
+    ties = 0
+    for _ in range(100):
+        declarations, links = random_network(rng, max_nodes=7)
+        net = NetworkModel(declarations, [Link(a, b, c, ExponentialDelay(lam)) for a, b, c, lam in links])
+        idx = {ref.label: ref.idx for ref in net.ordered}
+        adjacency = {label: [] for label, _ in declarations}
+        for a, b, c, lam in links:
+            adjacency[a].append((b, c + 1.0 / lam))
+            adjacency[b].append((a, c + 1.0 / lam))
+        labels = [ref.label for ref in net.ordered]
+
+        searches.clear()
+        dt = round_trip_matrix(net)
+        assert searches == labels[:-1]
+        for src in labels:
+            for dst in labels:
+                if src == dst:
+                    continue
+                route = shortest_comm_path(net, src, dst)
+                cost, path = brute_force_route(adjacency, idx, src, dst)
+                assert (route.expected_one_way, tuple(idx[v] for v in route.path)) == (cost, path)
+                assert dt[idx[src] - 1, idx[dst] - 1] == 2.0 * cost
+                ties += cheapest_path_count(adjacency, src, dst) > 1
+        # the last node had not been a source yet: one search for all its routes
+        assert searches == labels
+    assert ties
 
 
 def test_unreachable():

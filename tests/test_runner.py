@@ -93,6 +93,7 @@ def test_bad_keyword_overrides(three_robots):
         {"step": 0.0},
         {"step": 1.5},
         {"tol": 0.0},
+        {"tol": math.inf},
         {"max_iter": 0},
         {"threads": 0},
     ):
@@ -203,6 +204,30 @@ def test_deadline_warning_is_issued_once_over_many_arrivals(three_robots, monkey
     assert report.warnings == ["task T on R1: round-trip total 372.75 exceeds deadline 300"]
 
 
+def test_sample_mode_warns_with_the_first_late_draw(three_robots, monkeypatch):
+    text = strip_overrides(three_robots).replace("window a=0.0 b=inf", "window a=0.0 b=300.0")
+    draws = []
+    original = runner.com_t_max
+
+    def recording(net, profile, task, src, mode="expected", rng=None):
+        value = original(net, profile, task, src, mode, rng)
+        draws.append((src, value))
+        return value
+
+    monkeypatch.setattr(runner, "com_t_max", recording)
+    report = run(parse_scenario(with_arrivals(text, (0.0, 5.0, 10.0, 15.0, 20.0))), mode="sample")
+    first_late = {}
+    for src, value in draws:
+        if value > 300.0:
+            first_late.setdefault(src, value)
+    assert len(draws) == 5 * 3 and len(first_late) >= 1
+    assert sum(value > 300.0 for _, value in draws) > len(first_late)
+    assert report.warnings == [
+        f"task T on {src}: round-trip total {value:.6g} exceeds deadline 300"
+        for src, value in first_late.items()
+    ]
+
+
 def generated_scenario(seed, nodes=40, tasks=3, vertices=6, arrivals=300):
     """A connected 40-node scenario with Poisson arrivals, built from one seed."""
     rng = random.Random(seed)
@@ -243,6 +268,15 @@ def test_determinism_at_scale(mode):
     first = emit_report(run(sc, mode=mode, seed=9), "jsonl")
     second = emit_report(run(parse_scenario(generated_scenario(5)), mode=mode, seed=9), "jsonl")
     assert first == second
+
+
+def test_sample_mode_warnings_are_bounded_by_tasks_times_nodes():
+    sc = parse_scenario(generated_scenario(5))
+    warnings = run(sc, mode="sample", seed=9).warnings
+    pairs = [tuple(w.split(":")[0].split()[1::2]) for w in warnings if "exceeds deadline" in w]
+    assert pairs and len(pairs) == len(warnings)
+    assert len(set(pairs)) == len(pairs)
+    assert len(pairs) <= len(sc.tasks) * len(sc.nodes)
 
 
 def test_inspect_flows(three_robots):

@@ -222,6 +222,16 @@ def test_option_validation():
     assert sc.options.subspaces == (Subspace.CMPT, Subspace.CPLT)
 
 
+@pytest.mark.parametrize("value", ["inf", "+inf", "nan", "-inf"])
+def test_tol_must_be_finite(value):
+    text = MINIMAL + "\n[options]\ntol " + value + "\n"
+    err = errors_of(text)
+    assert len(err.issues) == 1
+    issue = err.issues[0]
+    assert issue.line == text.count("\n") and issue.col == len("tol ") + 1
+    assert f"invalid value {value!r} for option tol" in issue.message
+
+
 def test_every_issue_is_collected():
     text = MINIMAL.replace("link A B c=1.0 lambda=2.0", "link A Z c=1.0 lambda=2.0") + (
         "\n[arrivals2]\n"

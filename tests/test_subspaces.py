@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from hyperalloc import subspaces
 from hyperalloc.delays import ExponentialDelay
 from hyperalloc.graphs import algorithm, build_graph, execution_flows, to_semilattice
 from hyperalloc.network import Link, NetworkModel, RequestProfile, round_trip_matrix
@@ -27,6 +28,7 @@ from hyperalloc.subspaces import (
 
 from _oracles import (
     omega_update_rows,
+    pi_init_rows,
     pi_limit_rows,
     predecessor_rows,
     random_dag,
@@ -153,6 +155,13 @@ def test_degenerate_rows_raise():
     sl2 = to_semilattice(build_graph(2, [(1, 2)]))
     with pytest.raises(DegenerateRow):
         pi_init(sl2, ("X", "Y"), {"X": [1, 1], "Y": [1, 1]}, incapable=(("X", 1), ("Y", 1)))
+    # A2 (one level above A1) comes before the lone A3 in topological order,
+    # and a row-by-row fill stops at the first row without mass.
+    sl3 = to_semilattice(build_graph(3, [(1, 2)]))
+    assert sl3.topo.index(algorithm(2)) < sl3.topo.index(algorithm(3))
+    empty = {algorithm(2): 0.0, algorithm(3): 0.0}
+    with pytest.raises(DegenerateRow, match="row for A2 "):
+        pi_init(sl3, ("X", "Y"), {"X": [1, 2, 3], "Y": [3, 2, 1]}, a1_override=empty)
 
 
 def test_pi_init_validation():
@@ -234,6 +243,8 @@ def test_pi_limit_flags_nonconvergence():
     assert state2.converged is True
     with pytest.raises(ValueError):
         pi_limit(fixture_state(), tol=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        pi_limit(fixture_state(), tol=math.inf)
     with pytest.raises(ValueError):
         pi_limit(fixture_state(), max_iter=0)
 
@@ -332,8 +343,9 @@ def random_networked_states(rng, count):
         exec_times = {label: [rng.uniform(0.5, 5.0) for _ in range(n)] for label in nodes}
         incapable = [(label, v) for label in nodes[1:] for v in range(1, n + 1) if rng.random() < 0.15]
 
-        def build(sl=sl, nodes=nodes, exec_times=exec_times, incapable=incapable, net=net):
-            return pi_init(sl, nodes, exec_times, incapable=incapable, net=net)
+        def build(init=pi_init, sl=sl, nodes=nodes, exec_times=exec_times, incapable=incapable,
+                  net=net, **extra):
+            return init(sl, nodes, exec_times, incapable=incapable, net=net, **extra)
 
         try:
             build()
@@ -373,6 +385,80 @@ def test_dynamics_match_per_row_reference_bit_for_bit():
                 moved += 1
                 break
     assert pinned and wide and moved
+
+
+def init_variants(rng, state):
+    """pi_init keyword sets: none, assigned hosts, factor overrides, and
+    zero first factors on two rows, which leaves both without mass."""
+    reals = [v for v in state.sl.order if not v.is_virtual]
+    n_nodes = len(state.nodes)
+    return [
+        {},
+        {"assignment": {v: rng.choice(state.nodes) for v in rng.sample(reals, (len(reals) + 1) // 2)}},
+        {
+            "a1_override": {rng.choice(state.sl.order): rng.uniform(0.1, 1.0)},
+            "a2_override": {
+                v: [rng.uniform(0.1, 1.0) for _ in range(n_nodes)]
+                for v in rng.sample(state.sl.order, 2)
+            },
+        },
+        {"a1_override": {v: 0.0 for v in rng.sample(reals, min(2, len(reals)))}},
+    ]
+
+
+def test_pi_init_matches_per_row_reference_bit_for_bit():
+    rng = random.Random(7)
+    degenerate = deep = 0
+    for build in random_networked_states(rng, 20):
+        plain = build()
+        deep += max(map(len, predecessor_rows(plain))) >= 4
+        for extra in init_variants(rng, plain):
+            try:
+                ref = build(pi_init_rows, **extra)
+            except DegenerateRow as expected:
+                with pytest.raises(DegenerateRow) as raised:
+                    build(**extra)
+                assert str(raised.value) == str(expected)
+                degenerate += 1
+                continue
+            ours = build(**extra)
+            for name in ("pi", "capital", "normalizers", "pred_index", "exec_times", "pr", "ct"):
+                assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
+    assert degenerate and deep
+
+
+def test_pi_limit_updates_drift_once_per_host_change(monkeypatch):
+    calls = []
+    original = subspaces.omega_update
+
+    def counting(state, denom=None):
+        calls.append(state.pi.argmax(axis=1))
+        return original(state, denom)
+
+    monkeypatch.setattr(subspaces, "omega_update", counting)
+    rng = random.Random(13)
+    moved = 0
+    for build in random_networked_states(rng, 20):
+        ours, ref, probe = build(), build(), build()
+        calls.clear()
+        pi_limit(ours, tol=1e-9, max_iter=60)
+        pi_limit_rows(ref, tol=1e-9, max_iter=60)
+        assert np.array_equal(ours.pi, ref.pi)
+        assert np.array_equal(ours.capital, ref.capital)
+        assert ours.iterations == ref.iterations and ours.converged == ref.converged
+
+        # The most likely hosts before each iteration of the reference run,
+        # with consecutive repeats dropped.
+        hosts = []
+        for _ in range(ref.iterations):
+            now = probe.pi.argmax(axis=1)
+            if not hosts or not np.array_equal(now, hosts[-1]):
+                hosts.append(now)
+            pi_limit_rows(probe, tol=1e-30, max_iter=1)
+        assert len(calls) == len(hosts)
+        assert all(np.array_equal(a, b) for a, b in zip(calls, hosts))
+        moved += len(hosts) > 1
+    assert moved
 
 
 def test_overall_comm_bound_on_deep_lattice():
