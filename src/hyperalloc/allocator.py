@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count, islice
 from operator import attrgetter
 
 from .errors import HyperallocError
@@ -53,27 +54,46 @@ class ScheduleEntry:
         return self.t_e - self.t_s
 
 
-@dataclass
+@dataclass(slots=True)
 class ImpactReport:
     """Effect of inserting one task into one node's schedule.
 
-    ``affected`` lists ``(entry index, old start, new start)`` for every
-    displaced entry, indices being 1-based positions in the schedule at
-    evaluation time.  ``nv`` and ``loss`` are filled by
-    :func:`reallocation_loss` once a scorer is available.
+    The displaced entries form one contiguous run (the schedule is sorted
+    by start without overlaps, so once an entry keeps its slot every later
+    one does): ``moved`` from 0-based position ``first``, their
+    ``new_starts`` and, after :func:`reallocation_loss`, ``new_scores``,
+    ``nv`` (1-based indices of strict score drops) and ``loss``.  A report
+    that displaces nothing shares the empty defaults.  ``affected`` (index,
+    old start, new start), ``shifts`` (index, entry, new start) and
+    ``rescored`` (index, entry, new start, new score) are read-only views
+    with 1-based indices; ``affected`` reads the entries' current starts,
+    so take it before the decision is committed.
     """
 
     node: str
     start: float
     end: float
-    affected: list = field(default_factory=list)
-    nv: set = field(default_factory=set)
+    first: int = 0
+    moved: list = ()
+    new_starts: list = ()
+    new_scores: list = ()
+    nv: set = frozenset()
     loss: float = 0.0
-    shifts: list = field(default_factory=list)  # (index, entry, new start)
-    rescored: list = field(default_factory=list)  # (index, entry, new start, new score)
+
+    @property
+    def shifts(self) -> list:
+        return list(zip(count(self.first + 1), self.moved, self.new_starts))
+
+    @property
+    def affected(self) -> list:
+        return [(i, entry.t_s, new_start) for i, entry, new_start in self.shifts]
+
+    @property
+    def rescored(self) -> list:
+        return list(zip(count(self.first + 1), self.moved, self.new_starts, self.new_scores))
 
 
-@dataclass
+@dataclass(slots=True)
 class CandidateReport:
     node: str
     node_idx: int
@@ -114,25 +134,27 @@ def schedule_impact(schedule, task, duration, arrival, window=(0.0, math.inf), n
     lo, hi = window
     earliest = max(arrival, lo)
     live = bisect_right(schedule, arrival, key=_END)
-    tail = schedule[live:]
-    busy_end = max((e.t_e for e in tail if e.t_s < arrival), default=0.0)
-    start = max(earliest, busy_end)
+    # entries do not overlap, so only the first live entry can be running
+    running = live < len(schedule) and schedule[live].t_s < arrival
+    start = max(earliest, schedule[live].t_e if running else 0.0)
     end = start + duration
     if end > hi:
         raise WindowViolation(f"task {task} would end at {end}, after deadline {hi}")
 
-    report = ImpactReport(node=node, start=start, end=end)
+    report = ImpactReport(node, start, end)
+    # every entry ending after the new slot starts has not started by the arrival
+    first = bisect_right(schedule, start, lo=live, key=_END)
+    new_starts = []
     frontier = end
-    for i, entry in enumerate(tail, start=live):
-        if entry.t_s < arrival or entry.t_e <= start:
-            continue  # already running, or finished before the new slot
-        if entry.t_s < frontier:
-            new_start = frontier
-            report.affected.append((i + 1, entry.t_s, new_start))
-            report.shifts.append((i + 1, entry, new_start))
-            frontier = new_start + entry.duration
-        else:
-            frontier = entry.t_e
+    for entry in islice(schedule, first, None):
+        if entry.t_s >= frontier:
+            break  # the entry keeps its slot, and so does every later one
+        new_starts.append(frontier)
+        frontier += entry.duration
+    if new_starts:
+        report.first = first
+        report.moved = schedule[first : first + len(new_starts)]
+        report.new_starts = new_starts
     return report
 
 
@@ -143,23 +165,24 @@ def reallocation_loss(report: ImpactReport, scorer) -> float:
     its shifted position.  Entries whose score strictly drops form the
     report's ``nv`` set; the loss is the summed drop over that set.
     """
+    if not report.moved:
+        return report.loss
+    new_scores = list(map(scorer, report.moved, report.new_starts))
     nv = set()
     loss = 0.0
-    rescored = []
-    for index, entry, new_start in report.shifts:
-        new_score = scorer(entry, new_start)
-        rescored.append((index, entry, new_start, new_score))
+    for index, entry, new_score in zip(count(report.first + 1), report.moved, new_scores):
         if new_score < entry.score:
             nv.add(index)
             loss += entry.score - new_score
-    report.nv = nv
+    if nv:
+        report.nv = nv
     report.loss = loss
-    report.rescored = rescored
+    report.new_scores = new_scores
     return loss
 
 
 def _is_non_perturbing(candidate: CandidateReport) -> bool:
-    return not candidate.impact.affected or not candidate.impact.nv
+    return not candidate.impact.moved or not candidate.impact.nv
 
 
 def allocate(task, arrival, arrival_idx, candidates, score_fn, duration_fn, window, schedules, rescore_fn) -> AllocationDecision:
@@ -212,7 +235,7 @@ def commit_decision(decision: AllocationDecision, schedules) -> None:
     winner = next(c for c in decision.candidates if c.node == decision.chosen)
     impact = winner.impact
     schedule = schedules[winner.node]
-    for _, entry, new_start, new_score in impact.rescored:
+    for entry, new_start, new_score in zip(impact.moved, impact.new_starts, impact.new_scores):
         length = entry.duration
         entry.t_s = new_start
         entry.t_e = new_start + length

@@ -75,7 +75,7 @@ class NetworkModel:
 
     Indices are a bijection onto 1..N assigned by kind (robots first,
     then fog, then cloud) in declaration order.  Instances are treated as
-    immutable; the route cache is filled lazily and idempotently.
+    immutable; the route cache and round-trip matrix fill lazily, idempotently.
     """
 
     def __init__(self, declarations, links):
@@ -114,6 +114,7 @@ class NetworkModel:
             for label, neigh in adjacency.items()
         }
         self._routes = {}
+        self._round_trips = None
 
     def node(self, label: str) -> NodeRef:
         try:
@@ -266,13 +267,17 @@ def round_trip_matrix(net: NetworkModel) -> np.ndarray:
     """Expected single round-trip times between every node pair.
 
     Entry (i, j) holds twice the expected one-way route cost between the
-    nodes with indices i+1 and j+1; the diagonal is zero.  On a fresh
-    model this runs one route search per source node.
+    nodes with indices i+1 and j+1; the diagonal is zero.  The matrix is
+    built once per model, with one route search per source node, and
+    returned read-only: every caller shares it.
     """
-    n = len(net.ordered)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            route = shortest_comm_path(net, net.ordered[i].label, net.ordered[j].label)
-            out[i, j] = out[j, i] = 2.0 * route.expected_one_way
-    return out
+    if net._round_trips is None:
+        n = len(net.ordered)
+        out = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                route = shortest_comm_path(net, net.ordered[i].label, net.ordered[j].label)
+                out[i, j] = out[j, i] = 2.0 * route.expected_one_way
+        out.flags.writeable = False
+        net._round_trips = out
+    return net._round_trips

@@ -9,6 +9,7 @@ identical to the serial run.
 
 from __future__ import annotations
 
+import gc
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -255,6 +256,10 @@ def run(
     Keyword arguments override the scenario's [options] section.  Equal
     seeds produce identical reports; ``threads`` only distributes the
     per-candidate scoring work and never changes the result.
+
+    The cyclic garbage collector is paused for the arrival loop, which
+    makes no reference cycles, and restored afterwards, also on error.
+    The pause is process-wide: it holds for other threads too.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -263,22 +268,28 @@ def run(
     schedules = {label: [] for label in engine.labels}
     decisions = []
     rescore = engine.rescorer()
-    for i, (t, task_id) in enumerate(scenario.arrivals):
-        candidates = engine.candidates(task_id)
-        scores = engine.scores_for(task_id, i, candidates)
-        decision = allocate(
-            task_id,
-            t,
-            i,
-            candidates,
-            lambda task, label, _idx, table=scores: table[label],
-            engine.duration,
-            engine.sc.tasks[task_id].window,
-            schedules,
-            rescore,
-        )
-        commit_decision(decision, schedules)
-        decisions.append(decision)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for i, (t, task_id) in enumerate(scenario.arrivals):
+            candidates = engine.candidates(task_id)
+            scores = engine.scores_for(task_id, i, candidates)
+            decision = allocate(
+                task_id,
+                t,
+                i,
+                candidates,
+                lambda task, label, _idx, table=scores: table[label],
+                engine.duration,
+                engine.sc.tasks[task_id].window,
+                schedules,
+                rescore,
+            )
+            commit_decision(decision, schedules)
+            decisions.append(decision)
+    finally:
+        if collecting:
+            gc.enable()
     return RunReport(
         seed=opts.seed,
         mode=opts.mode,

@@ -8,10 +8,11 @@ library bug is unlikely to be mirrored here.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from hyperalloc.allocator import IDLE_TASK, ImpactReport, ScheduleEntry, WindowViolation
+from hyperalloc.allocator import IDLE_TASK, ScheduleEntry, WindowViolation
 from hyperalloc.graphs import AlgorithmId
 from hyperalloc.network import round_trip_matrix
 from hyperalloc.subspaces import CapabilityState, DegenerateRow
@@ -154,6 +155,20 @@ def oracle_insert(entries, arrival, duration, window):
     return start, end, shifts
 
 
+@dataclass
+class FullImpact:
+    """Plain record of the full-scan oracle: one tuple per displaced entry."""
+
+    node: str
+    start: float
+    end: float
+    affected: list = field(default_factory=list)  # (index, old start, new start)
+    shifts: list = field(default_factory=list)  # (index, entry, new start)
+    rescored: list = field(default_factory=list)  # (index, entry, new start, new score)
+    nv: set = field(default_factory=set)
+    loss: float = 0.0
+
+
 def schedule_impact_full(schedule, task, duration, arrival, window=(0.0, math.inf), node=""):
     """Reference for ``allocator.schedule_impact`` that scans every entry."""
     if not duration > 0:
@@ -166,7 +181,7 @@ def schedule_impact_full(schedule, task, duration, arrival, window=(0.0, math.in
     if end > hi:
         raise WindowViolation(f"task {task} would end at {end}, after deadline {hi}")
 
-    report = ImpactReport(node=node, start=start, end=end)
+    report = FullImpact(node=node, start=start, end=end)
     frontier = end
     for i, entry in enumerate(schedule):
         if entry.t_s < arrival or entry.t_e <= start:
@@ -179,6 +194,17 @@ def schedule_impact_full(schedule, task, duration, arrival, window=(0.0, math.in
         else:
             frontier = entry.t_e
     return report
+
+
+def reallocation_loss_full(report, scorer):
+    """Reference for ``allocator.reallocation_loss`` on a :class:`FullImpact`."""
+    for index, entry, new_start in report.shifts:
+        new_score = scorer(entry, new_start)
+        report.rescored.append((index, entry, new_start, new_score))
+        if new_score < entry.score:
+            report.nv.add(index)
+            report.loss += entry.score - new_score
+    return report.loss
 
 
 def commit_decision_full(decision, schedules):

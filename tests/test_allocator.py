@@ -21,7 +21,7 @@ from hyperalloc.allocator import (
 )
 from hyperalloc.subspaces import Subspace
 
-from _oracles import commit_decision_full, schedule_impact_full
+from _oracles import commit_decision_full, reallocation_loss_full, schedule_impact_full
 
 
 def entries(*specs):
@@ -351,19 +351,20 @@ def _late_drop(entry, new_start):
     return 0.0 if entry.forced_idle or new_start > 6.0 else entry.score
 
 
-def _place(impact_fn, commit_fn, schedule, arrival, duration, window, score):
+def _place(impact_fn, loss_fn, commit_fn, schedule, arrival, duration, window, score):
     """Insert one task and commit it; None when the window is violated."""
     try:
         impact = impact_fn(schedule, "t", duration, arrival, window, node="n1")
     except WindowViolation:
         return None
     assert all(entry is schedule[i - 1] for i, entry, _ in impact.shifts)
-    reallocation_loss(impact, _late_drop)
+    loss_fn(impact, _late_drop)
     placed = (
         impact.start,
         impact.end,
         list(impact.affected),
         [(i, new_start) for i, _, new_start in impact.shifts],
+        [(i, new_start, new_score) for i, _, new_start, new_score in impact.rescored],
         impact.nv,
         impact.loss,
     )
@@ -373,8 +374,10 @@ def _place(impact_fn, commit_fn, schedule, arrival, duration, window, score):
 
 
 def _both(ours, ref, arrival, duration, window, score=0.5):
-    got = _place(schedule_impact, commit_decision, ours, arrival, duration, window, score)
-    want = _place(schedule_impact_full, commit_decision_full, ref, arrival, duration, window, score)
+    got = _place(schedule_impact, reallocation_loss, commit_decision, ours, arrival, duration, window, score)
+    want = _place(
+        schedule_impact_full, reallocation_loss_full, commit_decision_full, ref, arrival, duration, window, score
+    )
     assert got == want
     assert _fields(ours) == _fields(ref)
     return got
@@ -419,6 +422,51 @@ def test_live_scan_matches_full_scan_on_random_schedules():
                 seen["shifted"] += bool(placed[2])
         seen["idle"] += any(e.forced_idle for e in ref)
     assert min(seen.values()) > 0, seen
+
+
+class _PastTheGap:
+    """An entry the cascade must never reach: reading its start fails."""
+
+    def __init__(self, t_e):
+        self.t_e = t_e
+
+    @property
+    def t_s(self):
+        raise AssertionError("the cascade read an entry after the gap that absorbed it")
+
+
+def test_gap_absorbs_the_cascade():
+    specs = (
+        ("a", 0.0, 1.0, 1.0),
+        ("b", 1.0, 2.0, 1.0),
+        ("c", 2.0, 3.0, 1.0),
+        ("d", 5.0, 6.0, 1.0),
+        ("e", 6.0, 7.0, 1.0),
+    )
+    placed = _both(entries(*specs), entries(*specs), 1.0, 1.5, (0.0, math.inf))
+    # b and c move by 1.5, d keeps its slot because the gap before it absorbs c's move
+    assert placed[2] == [(2, 1.0, 2.5), (3, 2.0, 3.5)]
+
+    schedule = entries(*specs[:4]) + [_PastTheGap(t_e) for t_e in (7.0, 8.0, 9.0)]
+    report = schedule_impact(schedule, "t", 1.5, arrival=1.0)
+    assert report.first == 1 and report.moved == schedule[1:3]
+    assert report.new_starts == [2.5, 3.5]
+    reallocation_loss(report, keep_score)
+    assert report.rescored == [(2, schedule[1], 2.5, 1.0), (3, schedule[2], 3.5, 1.0)]
+
+
+def test_report_without_displacement_is_empty():
+    quiet = [
+        schedule_impact([], "t", 3.0, arrival=2.0),
+        schedule_impact(entries(("a", 0.0, 5.0, 1.0), ("b", 10.0, 20.0, 1.0)), "t", 3.0, arrival=5.0),
+    ]
+    for report in quiet:
+        assert reallocation_loss(report, lambda entry, new_start: 0.0) == 0.0
+        assert report.affected == report.shifts == report.rescored == []
+        assert not report.nv and report.loss == 0.0
+    # the empty runs are the shared defaults, not one list per report
+    assert quiet[0].moved is quiet[1].moved and quiet[0].new_starts is quiet[1].new_starts
+    assert quiet[0].new_scores is quiet[1].new_scores and quiet[0].nv is quiet[1].nv
 
 
 # ------------------------------------------------------------ run loop

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from hyperalloc import network
 from hyperalloc.delays import ErlangDelay, ExponentialDelay, substream
 from hyperalloc.network import (
     Link,
@@ -256,3 +257,17 @@ def test_round_trip_matrix():
     assert dt[0, 4] == 53.25  # R1 <-> C
     assert dt[1, 3] == 32.5  # R2 <-> F
     assert dt[3, 4] == 2.25  # F <-> C
+
+
+def test_round_trip_matrix_is_built_once_and_read_only(monkeypatch):
+    net = calibrated()
+    lookups = []
+    real = network.shortest_comm_path
+    monkeypatch.setattr(network, "shortest_comm_path", lambda *args: lookups.append(args) or real(*args))
+    dt = round_trip_matrix(net)
+    assert len(lookups) == 10  # one per unordered pair
+    assert round_trip_matrix(net) is dt and len(lookups) == 10
+    assert not dt.flags.writeable
+    with pytest.raises(ValueError):
+        dt[0, 3] = 0.0
+    assert dt[0, 3] == 51.0

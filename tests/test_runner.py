@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -14,7 +15,7 @@ from hyperalloc.runner import (
     run,
 )
 from hyperalloc.scenario import parse_scenario
-from hyperalloc.subspaces import Subspace
+from hyperalloc.subspaces import DegenerateRow, Subspace
 
 
 def strip_overrides(text):
@@ -279,6 +280,78 @@ def test_sample_mode_warnings_are_bounded_by_tasks_times_nodes():
     assert len(pairs) <= len(sc.tasks) * len(sc.nodes)
 
 
+# ------------------------------------------------ garbage-collector pause
+
+
+def _two_node_scenario(exec_time):
+    return parse_scenario(
+        f"""
+[network]
+node A kind=robot
+node B kind=fog
+link A B c=1.0 lambda=1.0
+
+[task T]
+vertices V
+exec A {exec_time}
+exec B {exec_time}
+
+[arrivals]
+arrive t=0.0 task=T
+"""
+    )
+
+
+def _zero_busy_time():
+    sc = _two_node_scenario(0.0)
+    sc.options.subspaces = (Subspace.CMPT,)
+    return sc, EngineError
+
+
+def _no_capable_node():
+    sc = _two_node_scenario(1.0)
+    sc.tasks["T"].incapable.update({("A", 1), ("B", 1)})  # past the parser's check
+    return sc, DegenerateRow
+
+
+@pytest.fixture
+def gc_state():
+    """Yields a setter for the collector state; restores the original after."""
+    before = gc.isenabled()
+    yield lambda on: gc.enable() if on else gc.disable()
+    if before:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_collector_state(three_robots, gc_state, enabled):
+    gc_state(enabled)
+    run(parse_scenario(three_robots))
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("failing", [_zero_busy_time, _no_capable_node])
+def test_run_restores_the_collector_state_when_it_raises(gc_state, enabled, failing):
+    sc, error = failing()
+    gc_state(enabled)
+    with pytest.raises(error):
+        run(sc)
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("mode", ["expected", "sample"])
+def test_run_makes_no_cyclic_garbage(gc_state, mode):
+    sc = parse_scenario(generated_scenario(5))
+    gc.collect()
+    gc_state(False)
+    report = run(sc, mode=mode, seed=9)
+    assert report.decisions
+    assert gc.collect() == 0
+
+
 def test_inspect_flows(three_robots):
     sc = parse_scenario(three_robots)
     info = inspect_flows(sc)["T"]
@@ -303,6 +376,14 @@ def test_inspect_pi(three_robots):
     for prow, crow in zip(info["pi"], info["capital"]):
         for p, c in zip(prow, crow):
             assert c >= p - 1e-12
+
+
+def test_tasks_share_one_round_trip_matrix():
+    sc = parse_scenario(generated_scenario(5))
+    engine = runner._Engine(sc, sc.options)
+    matrices = [engine.capability_state(task_id).ct for task_id in sc.tasks]
+    assert len(matrices) == 3
+    assert all(ct is runner.round_trip_matrix(engine.net) for ct in matrices)
 
 
 def test_inspect_routes(three_robots):
