@@ -14,18 +14,15 @@ from .allocator import (
     allocate,
     commit_decision,
     reallocation_loss,
-    run_arrivals,
     schedule_impact,
 )
 from .delays import (
     DelaySum,
     ErlangDelay,
     ExponentialDelay,
-    combine_delay_sums,
     delay_mean,
     delay_sum,
     delay_variance,
-    exp_to_erlang_sum,
     sample_delay,
     substream,
 )
@@ -38,14 +35,12 @@ from .graphs import (
     FlowExplosion,
     GraphError,
     SemiLattice,
-    adjacency_powers,
     algorithm,
     build_graph,
     count_execution_flows,
     execution_flows,
     flow_critical_cost,
     flow_predecessors,
-    lifted_vertices,
     max_flow_length,
     to_semilattice,
 )
@@ -91,10 +86,8 @@ from .subspaces import (
     Subspace,
     SubspaceError,
     SubspaceScore,
-    capital_pi,
     cmpt_score,
     combine_scores,
-    communication_score,
     cplt_score,
     omega_update,
     overall_comm_bound,

@@ -247,32 +247,3 @@ def commit_decision(decision: AllocationDecision, schedules) -> None:
         insort(schedule, ScheduleEntry(IDLE_TASK, waited_from, impact.start, forced_idle=True), key=_START)
     insort(schedule, ScheduleEntry(decision.task, impact.start, impact.end, score=winner.combined), key=_START)
 
-
-def run_arrivals(arrivals, nodes, candidates_fn, score_fn, duration_fn, window_fn, rescore_fn):
-    """Process a time-ordered arrival sequence against empty schedules.
-
-    ``arrivals`` is a sequence of (time, task); ``nodes`` a sequence of
-    (label, node index).  Returns the decision list (rejections
-    included; rejected tasks are not re-queued) and the final schedules
-    keyed by node label.
-    """
-    times = [t for t, _ in arrivals]
-    if times != sorted(times):
-        raise ValueError("arrivals must be ordered by time")
-    schedules = {label: [] for label, _ in nodes}
-    decisions = []
-    for i, (t, task) in enumerate(arrivals):
-        decision = allocate(
-            task,
-            t,
-            i,
-            candidates_fn(task),
-            score_fn,
-            duration_fn,
-            window_fn(task),
-            schedules,
-            rescore_fn,
-        )
-        commit_decision(decision, schedules)
-        decisions.append(decision)
-    return decisions, schedules

@@ -12,6 +12,7 @@ import os
 import sys
 
 from .errors import HyperallocError
+from .network import MODES
 from .report import FORMATS, emit_report
 from .runner import inspect_flows, inspect_pi, inspect_routes, run
 from .scenario import ScenarioError, parse_scenario
@@ -28,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("allocate", help="run a scenario and print the decision report")
     p_run.add_argument("--scenario", required=True, help="scenario file")
-    p_run.add_argument("--mode", choices=("expected", "sample"), help="delay handling")
+    p_run.add_argument("--mode", choices=MODES, help="delay handling")
     p_run.add_argument("--seed", type=int, help="seed for sample mode")
     p_run.add_argument("--subspaces", help="comma-separated selection, e.g. cmpt,cplt")
     p_run.add_argument(
@@ -39,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--step", type=float, help="dynamics step size in (0, 1]")
     p_run.add_argument("--tol", type=float, help="dynamics convergence tolerance")
     p_run.add_argument("--max-iter", type=int, dest="max_iter", help="dynamics iteration cap")
-    p_run.add_argument("--threads", type=int, default=1, help="scoring worker threads")
     p_run.add_argument("--out", help="write the report here instead of stdout")
 
     p_inspect = sub.add_parser("inspect", help="print derived structures as JSON")
@@ -74,7 +74,6 @@ def main(argv=None) -> int:
                 step=args.step,
                 tol=args.tol,
                 max_iter=args.max_iter,
-                threads=args.threads,
             )
             text = emit_report(report, fmt)
         else:

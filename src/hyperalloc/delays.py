@@ -64,11 +64,6 @@ class DelaySum:
     terms: tuple = ()
 
 
-def exp_to_erlang_sum(n: int, rate: float) -> ErlangDelay:
-    """Erlang distribution of the sum of n iid Exponential(rate) delays."""
-    return ErlangDelay(n, rate)
-
-
 def delay_sum(constant: float = 0.0, terms=()) -> DelaySum:
     """Build a canonical DelaySum: equal rates merged, terms sorted by rate."""
     if constant < 0:
@@ -80,11 +75,6 @@ def delay_sum(constant: float = 0.0, terms=()) -> DelaySum:
         by_rate[t.rate] = by_rate.get(t.rate, 0) + t.shape
     merged = tuple(ErlangDelay(by_rate[r], r) for r in sorted(by_rate))
     return DelaySum(float(constant), merged)
-
-
-def combine_delay_sums(a: DelaySum, b: DelaySum) -> DelaySum:
-    """Sum of two independent delays, renormalised to canonical form."""
-    return delay_sum(a.constant + b.constant, a.terms + b.terms)
 
 
 def delay_mean(d: DelaySum) -> float:

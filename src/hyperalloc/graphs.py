@@ -15,8 +15,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import HyperallocError
 
 DEFAULT_FLOW_CAP = 1_000_000
@@ -319,34 +317,6 @@ def flow_predecessors(sl: SemiLattice, a: AlgorithmId) -> set:
                     out.add(w)
                 frontier.append(w)
     return out
-
-
-def lifted_vertices(target) -> tuple:
-    """Vertex ordering used for matrix representations."""
-    sl = target if isinstance(target, SemiLattice) else to_semilattice(target)
-    return sl.order
-
-
-def adjacency_powers(target, l: int) -> list:
-    """Powers AD^1..AD^(2l) of the lifted adjacency matrix.
-
-    ``target`` may be an AlgorithmGraph (lifted internally) or an already
-    built SemiLattice.  Entry (i, j) of AD^p counts directed walks of
-    length p between the vertices at positions i and j of
-    :func:`lifted_vertices`.
-    """
-    if l < 1:
-        raise ValueError(f"power horizon must be >= 1, got {l}")
-    sl = target if isinstance(target, SemiLattice) else to_semilattice(target)
-    n = len(sl.order)
-    ad = np.zeros((n, n), dtype=np.int64)
-    for v in sl.order:
-        for w in sl.succ[v]:
-            ad[sl.position[v], sl.position[w]] = 1
-    powers = [ad.copy()]
-    for _ in range(2 * l - 1):
-        powers.append(powers[-1] @ ad)
-    return powers
 
 
 def max_flow_length(sl: SemiLattice) -> int:

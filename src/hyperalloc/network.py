@@ -122,20 +122,6 @@ class NetworkModel:
         except KeyError:
             raise NetworkError(f"unknown node {label!r}") from None
 
-    def is_connected(self) -> bool:
-        if len(self.ordered) <= 1:
-            return True
-        start = self.ordered[0].label
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w, _ in self.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(self.ordered)
-
 
 class RequestProfile:
     """Request counts per (task, source node, target node)."""

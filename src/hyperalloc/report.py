@@ -29,14 +29,14 @@ def _pad(rows) -> list:
 def _table(report: RunReport) -> str:
     names = [s.value for s in report.subspaces]
     lines = [
-        "run seed={} mode={} subspaces={} step={} tol={} max_iter={} threads={}".format(
+        # scoring is serial; "threads=1" stays so the header keeps its fields
+        "run seed={} mode={} subspaces={} step={} tol={} max_iter={} threads=1".format(
             report.seed,
             report.mode,
             ",".join(names),
             _g(report.step),
             _g(report.tol),
             report.max_iter,
-            report.threads,
         )
     ]
 
@@ -94,7 +94,7 @@ def _jsonl(report: RunReport) -> str:
                 "step": report.step,
                 "tol": report.tol,
                 "max_iter": report.max_iter,
-                "threads": report.threads,
+                "threads": 1,  # scoring is serial; the key stays for report readers
                 "convergence": report.convergence,
                 "warnings": report.warnings,
             }

@@ -2,16 +2,14 @@
 
 The engine turns a parsed scenario into a network model, request
 profile, compatibility table, and one flow lattice per task, then walks
-the arrival sequence.  Scoring work per arrival can fan out over a
-thread pool; results are merged in node-index order so the outcome is
-identical to the serial run.
+the arrival sequence one arrival at a time: each decision reads the
+schedules the previous ones committed.
 """
 
 from __future__ import annotations
 
 import gc
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .allocator import allocate, commit_decision
@@ -26,7 +24,6 @@ from .graphs import (
     to_semilattice,
 )
 from .network import (
-    MODES,
     Link,
     NetworkModel,
     RequestProfile,
@@ -36,7 +33,7 @@ from .network import (
     round_trip_matrix,
     shortest_comm_path,
 )
-from .scenario import RunOptions, Scenario, ScenarioError, parse_subspace_selection
+from .scenario import RunOptions, Scenario, set_option
 from .subspaces import (
     CompatibilityTable,
     Subspace,
@@ -60,7 +57,6 @@ class RunReport:
     step: float
     tol: float
     max_iter: int
-    threads: int
     decisions: list = field(default_factory=list)
     schedules: dict = field(default_factory=dict)
     convergence: dict = field(default_factory=dict)  # task -> iterations/converged
@@ -73,10 +69,9 @@ def _build_network(sc: Scenario) -> NetworkModel:
 
 
 class _Engine:
-    def __init__(self, sc: Scenario, opts: RunOptions, threads: int = 1):
+    def __init__(self, sc: Scenario, opts: RunOptions):
         self.sc = sc
         self.opts = opts
-        self.threads = max(1, int(threads))
         self.net = _build_network(sc)
         self.labels = tuple(ref.label for ref in self.net.ordered)
         self.profile = RequestProfile(sc.requests)
@@ -126,15 +121,9 @@ class _Engine:
 
     def scores_for(self, task_id: str, arrival_idx: int, candidates) -> dict:
         if Subspace.CPLT in self.opts.subspaces:
-            self.capability_state(task_id)  # build once before any fan-out
-        if self.threads > 1 and len(candidates) > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                rows = list(
-                    pool.map(lambda c: self._score_one(task_id, arrival_idx, c), candidates)
-                )
-        else:
-            rows = [self._score_one(task_id, arrival_idx, c) for c in candidates]
-        return dict(rows)
+            # built first, so its warning precedes this arrival's deadline warnings
+            self.capability_state(task_id)
+        return dict(self._score_one(task_id, arrival_idx, c) for c in candidates)
 
     def _score_one(self, task_id, arrival_idx, candidate):
         label, idx = candidate
@@ -207,39 +196,6 @@ class _Engine:
         return rescore
 
 
-def _resolve_options(base, mode, seed, subspaces, step, tol, max_iter) -> RunOptions:
-    opts = replace(base)
-    if mode is not None:
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        opts.mode = mode
-    if seed is not None:
-        opts.seed = int(seed)
-    if subspaces is not None:
-        if isinstance(subspaces, str):
-            try:
-                opts.subspaces = parse_subspace_selection(subspaces)
-            except ScenarioError as exc:
-                raise ValueError(exc.issues[0].message) from None
-        else:
-            opts.subspaces = tuple(s for s in Subspace if s in tuple(subspaces))
-            if not opts.subspaces:
-                raise ValueError("at least one subspace must be selected")
-    if step is not None:
-        if not 0 < step <= 1:
-            raise ValueError(f"step must lie in (0, 1], got {step}")
-        opts.step = float(step)
-    if tol is not None:
-        if not 0 < tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {tol}")
-        opts.tol = float(tol)
-    if max_iter is not None:
-        if max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-        opts.max_iter = int(max_iter)
-    return opts
-
-
 def run(
     scenario: Scenario,
     *,
@@ -249,22 +205,28 @@ def run(
     step=None,
     tol=None,
     max_iter=None,
-    threads: int = 1,
 ) -> RunReport:
     """Execute a scenario and return the full decision record.
 
-    Keyword arguments override the scenario's [options] section.  Equal
-    seeds produce identical reports; ``threads`` only distributes the
-    per-candidate scoring work and never changes the result.
+    Keyword arguments override the scenario's [options] section and are
+    checked by the same rules; equal seeds produce identical reports.
+    Arrivals must be ordered by time (the parser guarantees it for
+    scenario text); a Scenario built in code that breaks the order
+    raises ValueError.
 
     The cyclic garbage collector is paused for the arrival loop, which
     makes no reference cycles, and restored afterwards, also on error.
     The pause is process-wide: it holds for other threads too.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    opts = _resolve_options(scenario.options, mode, seed, subspaces, step, tol, max_iter)
-    engine = _Engine(scenario, opts, threads)
+    opts = replace(scenario.options)
+    overrides = dict(mode=mode, seed=seed, subspaces=subspaces, step=step, tol=tol, max_iter=max_iter)
+    for name, value in overrides.items():
+        if value is not None:
+            set_option(opts, name, value)
+    times = [t for t, _ in scenario.arrivals]
+    if times != sorted(times):
+        raise ValueError("arrivals must be ordered by time")
+    engine = _Engine(scenario, opts)
     schedules = {label: [] for label in engine.labels}
     decisions = []
     rescore = engine.rescorer()
@@ -297,7 +259,6 @@ def run(
         step=opts.step,
         tol=opts.tol,
         max_iter=opts.max_iter,
-        threads=engine.threads,
         decisions=decisions,
         schedules=schedules,
         convergence=engine.convergence,

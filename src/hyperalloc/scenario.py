@@ -31,10 +31,8 @@ from dataclasses import dataclass, field
 
 from .errors import HyperallocError
 from .graphs import GraphError, build_graph, to_semilattice
-from .network import NODE_KINDS
+from .network import MODES, NODE_KINDS
 from .subspaces import Subspace
-
-MODES = ("expected", "sample")
 
 
 @dataclass(frozen=True)
@@ -131,6 +129,7 @@ class _Parser:
         self.node_labels = []
         self.seen_sections = set()
         self.where = {}  # remembers definition lines for late validation
+        self.link_lines = 0  # rejected ones included
 
     def bad(self, line, col, message, kind="syntax"):
         self.issues.append(ParseIssue(line, col, message, kind))
@@ -202,6 +201,7 @@ class _Parser:
             self.sc.nodes.append((label, kind))
             self.node_labels.append(label)
         elif tokens[0] == "link":
+            self.link_lines += 1
             if len(tokens) != 5:
                 self.bad(line_no, 1, "expected: link <a> <b> c=<time> lambda=<rate>")
                 return
@@ -374,34 +374,14 @@ class _Parser:
         self.where[("arrive", len(self.sc.arrivals) - 1)] = line_no
 
     def _sec_options(self, line_no, raw, tokens):
-        opts = self.sc.options
         if len(tokens) != 2:
             self.bad(line_no, 1, "expected: <option> <value>")
             return
         name, value = tokens
         try:
-            if name == "mode":
-                if value not in MODES:
-                    raise ValueError
-                opts.mode = value
-            elif name == "seed":
-                opts.seed = int(value)
-            elif name == "subspaces":
-                opts.subspaces = _parse_subspaces(value)
-            elif name == "step":
-                opts.step = float(value)
-                if not 0 < opts.step <= 1:
-                    raise ValueError
-            elif name == "tol":
-                opts.tol = _parse_number(value)
-                if not opts.tol > 0:
-                    raise ValueError
-            elif name == "max_iter":
-                opts.max_iter = int(value)
-                if opts.max_iter < 1:
-                    raise ValueError
-            else:
-                self.bad(line_no, 1, f"unknown option {name!r}")
+            set_option(self.sc.options, name, value)
+        except KeyError:
+            self.bad(line_no, 1, f"unknown option {name!r}")
         except ValueError:
             self.bad(line_no, _col(raw, value), f"invalid value {value!r} for option {name}")
 
@@ -417,6 +397,7 @@ class _Parser:
             self.bad(0, 1, "at least one node is required")
             return
 
+        pairs = set()
         for i, (a, b, _, _) in enumerate(sc.links):
             line = self.where[("link", i)]
             for endpoint in (a, b):
@@ -424,11 +405,12 @@ class _Parser:
                     self.bad(line, 1, f"link references undeclared node {endpoint}", "unresolved")
             if a == b:
                 self.bad(line, 1, "link endpoints must differ")
-        pairs = [frozenset((a, b)) for a, b, _, _ in sc.links if a != b]
-        if len(set(pairs)) != len(pairs):
-            self.bad(0, 1, "duplicate link", "duplicate")
+            elif frozenset((a, b)) in pairs:
+                self.bad(line, 1, f"duplicate link {a} {b}", "duplicate")
+            pairs.add(frozenset((a, b)))
 
-        if not self._network_connected():
+        # a rejected link already has its issue; the gap it leaves is no news
+        if self.link_lines == len(sc.links) and not self._network_connected():
             self.bad(0, 1, "network is not connected")
 
         for key, _ in sc.requests.items():
@@ -556,18 +538,50 @@ class _Parser:
         return len(seen) == len(self.node_labels)
 
 
-def _parse_subspaces(value) -> tuple:
-    tokens = [t for t in value.split(",") if t]
-    if not tokens:
+def set_option(opts: RunOptions, name: str, value) -> None:
+    """Check one run option and store it on ``opts``.
+
+    ``value`` is the option's text, as in an [options] line, or a value
+    of its type.  Raises KeyError for an unknown option name and
+    ValueError for a value the option does not accept.
+    """
+    if name == "mode":
+        if value not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {value!r}")
+    elif name == "seed":
+        value = int(value)
+    elif name == "subspaces":
+        value = _subspace_selection(value)
+    elif name == "step":
+        value = float(value)
+        if not 0 < value <= 1:
+            raise ValueError(f"step must lie in (0, 1], got {value}")
+    elif name == "tol":
+        value = float(value)
+        if not 0 < value < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {value}")
+    elif name == "max_iter":
+        value = int(value)
+        if value < 1:
+            raise ValueError(f"max_iter must be >= 1, got {value}")
+    else:
+        raise KeyError(name)
+    setattr(opts, name, value)
+
+
+def _subspace_selection(value) -> tuple:
+    """Subspaces named by comma-separated text or an iterable, canonically ordered."""
+    names = [t.strip() for t in value.split(",") if t] if isinstance(value, str) else list(value)
+    if not names:
         raise ValueError("empty subspace selection")
     out = []
-    for t in tokens:
+    for name in names:
         try:
-            s = Subspace(t.strip())
+            s = Subspace(name)
         except ValueError:
-            raise ValueError(f"unknown subspace {t!r}") from None
+            raise ValueError(f"unknown subspace {name!r}") from None
         if s in out:
-            raise ValueError(f"subspace {t!r} selected twice")
+            raise ValueError(f"subspace {s.value!r} selected twice")
         out.append(s)
     # canonical order regardless of how the selection was written
     return tuple(s for s in Subspace if s in out)
@@ -589,14 +603,6 @@ def parse_scenario(text: str) -> Scenario:
     DuplicateDefinition) carrying every located issue.
     """
     return _Parser(text).parse()
-
-
-def parse_subspace_selection(value: str) -> tuple:
-    """Parse a comma-separated subspace selection such as ``cmpt,cplt``."""
-    try:
-        return _parse_subspaces(value)
-    except ValueError as exc:
-        raise ParseError([ParseIssue(0, 1, str(exc))]) from None
 
 
 def _fmt_num(v) -> str:

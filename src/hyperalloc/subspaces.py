@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import HyperallocError
 from .graphs import AlgorithmId, SemiLattice, flow_critical_cost, flow_predecessors
-from .network import com_t_max, ict, round_trip_matrix
+from .network import round_trip_matrix
 
 
 class SubspaceError(HyperallocError):
@@ -104,11 +104,6 @@ def cmpt_score(table: CompatibilityTable, task, node) -> SubspaceScore:
     return SubspaceScore(Subspace.CMPT, 1.0 if table.compatible(task, node) else 0.0)
 
 
-def communication_score(net, profile, task, node, mode="expected", rng=None) -> SubspaceScore:
-    """Reciprocal of the worst-case communication total for (task, node)."""
-    return SubspaceScore(Subspace.COMM, ict(com_t_max(net, profile, task, node, mode, rng)))
-
-
 class CapabilityState:
     """Probability dynamics for one task's algorithms over the nodes.
 
@@ -124,7 +119,6 @@ class CapabilityState:
         self.sl = sl
         self.nodes = nodes
         self.col_index = {label: i for i, label in enumerate(nodes)}
-        self.algorithms = sl.order
         self.row_index = dict(sl.position)
         self.pi = pi
         self.capital = capital
@@ -400,15 +394,6 @@ def pi_limit(state: CapabilityState, tol: float = 1e-6, max_iter: int = 10_000) 
             break
     state.converged = converged
     return state
-
-
-def capital_pi(state: CapabilityState, vertex, node) -> float:
-    """Running-maximum allocation probability of a vertex on a node."""
-    if vertex not in state.row_index:
-        raise SubspaceError(f"unknown vertex {vertex}")
-    if node not in state.col_index:
-        raise SubspaceError(f"unknown node {node}")
-    return float(state.capital[state.row_index[vertex], state.col_index[node]])
 
 
 def cplt_score(state: CapabilityState, node) -> SubspaceScore:

@@ -92,13 +92,6 @@ def lifted_order(n, edges):
     return tops + list(range(1, n + 1)) + bots
 
 
-def count_walks(succ, u, v, length):
-    """Number of directed walks from u to v with exactly ``length`` edges."""
-    if length == 0:
-        return 1 if u == v else 0
-    return sum(count_walks(succ, w, v, length - 1) for w in succ[u])
-
-
 # --------------------------------------------------------------- routing
 
 

@@ -16,7 +16,6 @@ from hyperalloc.allocator import (
     allocate,
     commit_decision,
     reallocation_loss,
-    run_arrivals,
     schedule_impact,
 )
 from hyperalloc.subspaces import Subspace
@@ -469,33 +468,27 @@ def test_report_without_displacement_is_empty():
     assert quiet[0].new_scores is quiet[1].new_scores and quiet[0].nv is quiet[1].nv
 
 
-# ------------------------------------------------------------ run loop
+# ------------------------------------------------------------ arrival loop
 
 
-def test_run_arrivals_requires_time_order():
-    with pytest.raises(ValueError):
-        run_arrivals(
-            [(1.0, "a"), (0.0, "b")],
-            [("n1", 1)],
-            lambda task: [("n1", 1)],
-            fixed_scores({"n1": 1.0}),
-            fixed_durations({"n1": 1.0}),
-            lambda task: (0.0, math.inf),
+def test_allocate_and_commit_arrivals_in_turn():
+    nodes = [("n1", 1), ("n2", 2)]
+    schedules = {"n1": [], "n2": []}
+    decisions = []
+    for i, (t, task) in enumerate([(0.0, "a"), (0.5, "b"), (1.0, "c")]):
+        decision = allocate(
+            task,
+            t,
+            i,
+            nodes,
+            fixed_scores({"n1": 0.9, "n2": 0.1}),
+            fixed_durations({"n1": 2.0, "n2": 2.0}),
+            (0.0, math.inf),
+            schedules,
             keep_score,
         )
-
-
-def test_run_arrivals_end_to_end():
-    scores = {"n1": 0.9, "n2": 0.1}
-    decisions, schedules = run_arrivals(
-        [(0.0, "a"), (0.5, "b"), (1.0, "c")],
-        [("n1", 1), ("n2", 2)],
-        lambda task: [("n1", 1), ("n2", 2)],
-        fixed_scores(scores),
-        fixed_durations({"n1": 2.0, "n2": 2.0}),
-        lambda task: (0.0, math.inf),
-        keep_score,
-    )
+        commit_decision(decision, schedules)
+        decisions.append(decision)
     assert [d.chosen for d in decisions] == ["n1", "n1", "n1"]
     layout = [(e.task, e.t_s, e.t_e) for e in schedules["n1"]]
     # a runs at its arrival; b queues behind the running a; c arrives at 1,

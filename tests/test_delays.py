@@ -7,11 +7,9 @@ from hyperalloc.delays import (
     DelaySum,
     ErlangDelay,
     ExponentialDelay,
-    combine_delay_sums,
     delay_mean,
     delay_sum,
     delay_variance,
-    exp_to_erlang_sum,
     sample_delay,
     substream,
 )
@@ -38,7 +36,10 @@ def test_erlang_moments():
 
 
 def test_exp_to_erlang_sum():
-    assert exp_to_erlang_sum(3, 2.0) == ErlangDelay(3, 2.0)
+    # n iid Exponential(rate) delays sum to Erlang(n, rate): moments add
+    exp, erlang = ExponentialDelay(2.0), ErlangDelay(3, 2.0)
+    assert erlang.mean == 3 * exp.mean
+    assert erlang.variance == 3 * exp.variance
 
 
 def test_delay_sum_canonical_form():
@@ -52,7 +53,7 @@ def test_delay_sum_canonical_form():
 def test_combine_delay_sums():
     a = delay_sum(1.0, [ErlangDelay(2, 4.0)])
     b = delay_sum(0.5, [ErlangDelay(1, 4.0), ErlangDelay(1, 8.0)])
-    c = combine_delay_sums(a, b)
+    c = delay_sum(a.constant + b.constant, a.terms + b.terms)
     assert c.constant == 1.5
     assert c.terms == (ErlangDelay(3, 4.0), ErlangDelay(1, 8.0))
 

@@ -8,19 +8,17 @@ from hyperalloc.graphs import (
     FlowExplosion,
     GraphError,
     IndexOutOfRange,
-    adjacency_powers,
     algorithm,
     build_graph,
     count_execution_flows,
     execution_flows,
     flow_critical_cost,
     flow_predecessors,
-    lifted_vertices,
     max_flow_length,
     to_semilattice,
 )
 
-from _oracles import count_walks, enumerate_flows, lift, lifted_order, random_dag
+from _oracles import enumerate_flows, lifted_order, random_dag
 
 EDGES = [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (5, 7), (6, 8), (7, 8)]
 
@@ -138,7 +136,7 @@ def test_lifted_order_matches_reference():
         sl = to_semilattice(build_graph(n, edges))
         expect = lifted_order(n, edges)
         got = []
-        for v in lifted_vertices(sl):
+        for v in sl.order:
             if v.is_virtual_top:
                 got.append(f"top{v.index}")
             elif v.is_virtual_bottom:
@@ -146,32 +144,6 @@ def test_lifted_order_matches_reference():
             else:
                 got.append(v.index)
         assert got == expect
-
-
-def test_adjacency_powers_count_walks():
-    rng = random.Random(7)
-    for _ in range(20):
-        n, edges = random_dag(rng, max_vertices=5)
-        sl = to_semilattice(build_graph(n, edges))
-        l = max(max_flow_length(sl), 1)
-        powers = adjacency_powers(sl, l)
-        assert len(powers) == 2 * l
-        _, succ, _, _ = lift(n, edges)
-        order = lifted_order(n, edges)
-        for p in (1, 2, min(3, 2 * l)):
-            mat = powers[p - 1]
-            for i, u in enumerate(order):
-                for j, w in enumerate(order):
-                    assert mat[i, j] == count_walks(succ, u, w, p)
-
-
-def test_powers_beyond_longest_flow_vanish():
-    sl = reference_lattice()
-    l = max_flow_length(sl)
-    assert l == 7
-    powers = adjacency_powers(sl, l)
-    assert powers[l - 1].any()
-    assert all(not powers[p].any() for p in range(l, 2 * l))
 
 
 def test_flow_critical_cost_vertex_and_edge():

@@ -1,9 +1,12 @@
 import gc
 import math
+import pathlib
 import random
+import re
 
 import pytest
 
+import hyperalloc
 from hyperalloc import runner
 from hyperalloc.allocator import MAX_SCORE, NO_CAPABLE_NODE, NON_PERTURBING
 from hyperalloc.report import emit_report
@@ -96,12 +99,26 @@ def test_bad_keyword_overrides(three_robots):
         {"tol": 0.0},
         {"tol": math.inf},
         {"max_iter": 0},
-        {"threads": 0},
     ):
         with pytest.raises(ValueError):
             run(sc, **kwargs)
-    with pytest.raises(ValueError, match="unknown subspace"):
-        run(sc, subspaces="cmpt,whatever")
+    # text and iterable selections follow the same rules
+    for subspaces in ("cmpt,whatever", ["cmpt", "bogus"]):
+        with pytest.raises(ValueError, match="unknown subspace"):
+            run(sc, subspaces=subspaces)
+    for subspaces in ("cmpt,cmpt", ["cmpt", "cmpt"], (Subspace.CPLT, "cplt")):
+        with pytest.raises(ValueError, match="selected twice"):
+            run(sc, subspaces=subspaces)
+    for subspaces in ("", []):
+        with pytest.raises(ValueError, match="empty subspace selection"):
+            run(sc, subspaces=subspaces)
+
+
+def test_run_requires_time_order(three_robots):
+    sc = parse_scenario(three_robots)
+    sc.arrivals = [(1.0, "T"), (0.0, "T")]
+    with pytest.raises(ValueError, match="ordered by time"):
+        run(sc)
 
 
 def test_sampled_runs_reproducible_and_seed_sensitive(three_robots):
@@ -111,19 +128,6 @@ def test_sampled_runs_reproducible_and_seed_sensitive(three_robots):
     c = emit_report(run(sc, mode="sample", seed=12), "jsonl")
     assert a == b
     assert a != c
-
-
-def test_threads_do_not_change_results(three_robots):
-    sc = parse_scenario(strip_overrides(three_robots))
-    lone = run(sc, mode="sample", seed=3, threads=1)
-    pooled = run(sc, mode="sample", seed=3, threads=4)
-    assert lone.decisions == pooled.decisions
-    assert lone.schedules == pooled.schedules
-    assert lone.warnings == pooled.warnings
-    # everything but the recorded worker count is byte-identical
-    a = emit_report(lone, "jsonl")
-    b = emit_report(pooled, "jsonl").replace('"threads":4', '"threads":1')
-    assert a == b
 
 
 def test_zero_busy_time_is_an_engine_error():
@@ -398,3 +402,13 @@ def test_inspect_routes(three_robots):
     assert table[("F", "C")]["round_trip"] == pytest.approx(2.25, rel=1e-12)
     for r in routes:
         assert math.isfinite(r["expected_one_way"]) and r["expected_one_way"] > 0
+
+
+def test_readme_library_names_are_exported():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("The building blocks are importable on their own:", 1)[1].split("\n\n", 1)[0]
+    names = set(re.findall(r"`(\w+)`", blocks))
+    names |= set(re.search(r"from hyperalloc import (.+)", section).group(1).split(", "))
+    assert {"run", "pi_init", "allocate", "commit_decision"} <= names
+    assert [n for n in sorted(names) if not hasattr(hyperalloc, n)] == []

@@ -9,7 +9,6 @@ from hyperalloc.scenario import (
     UnresolvedReference,
     format_scenario,
     parse_scenario,
-    parse_subspace_selection,
 )
 from hyperalloc.subspaces import Subspace
 
@@ -168,6 +167,23 @@ def test_network_must_be_connected():
     assert "not connected" in str(err)
 
 
+def test_rejected_link_is_reported_once():
+    # the gap the rejected link leaves is not a second, unlocated issue
+    err = errors_of(MINIMAL.replace("lambda=2.0", "lambda=0"))
+    assert [(i.line, i.message) for i in err.issues] == [(4, "need c >= 0 and lambda > 0")]
+
+
+def test_duplicate_link_is_located():
+    text = MINIMAL.replace(
+        "link A B c=1.0 lambda=2.0",
+        "link A B c=1.0 lambda=2.0\nlink B A c=3.0 lambda=1.0",
+    )
+    err = errors_of(text)
+    assert isinstance(err, DuplicateDefinition)
+    assert [(i.line, i.col) for i in err.issues] == [(5, 1)]
+    assert "duplicate link" in err.issues[0].message
+
+
 def test_arrivals_must_be_sorted_and_resolved():
     text = MINIMAL.replace(
         "arrive t=0.0 task=T", "arrive t=5.0 task=T\narrive t=1.0 task=T"
@@ -252,11 +268,11 @@ def test_issue_locations_are_one_based():
 
 
 def test_parse_subspace_selection():
-    assert parse_subspace_selection("comm") == (Subspace.COMM,)
-    assert parse_subspace_selection("cplt,cmpt") == (Subspace.CMPT, Subspace.CPLT)
-    with pytest.raises(ParseError):
-        parse_subspace_selection("")
-    with pytest.raises(ParseError):
-        parse_subspace_selection("cmpt,cmpt")
-    with pytest.raises(ParseError):
-        parse_subspace_selection("speed")
+    base = MINIMAL + "\n[options]\nsubspaces "
+    assert parse_scenario(base + "comm\n").options.subspaces == (Subspace.COMM,)
+    # canonical order regardless of how the selection was written
+    assert parse_scenario(base + "cplt,cmpt\n").options.subspaces == (Subspace.CMPT, Subspace.CPLT)
+    for value in (",", "cmpt,cmpt", "speed"):
+        err = errors_of(base + value + "\n")
+        assert isinstance(err, ParseError) and len(err.issues) == 1
+        assert f"invalid value {value!r} for option subspaces" in err.issues[0].message

@@ -7,7 +7,7 @@ import pytest
 from hyperalloc import subspaces
 from hyperalloc.delays import ExponentialDelay
 from hyperalloc.graphs import algorithm, build_graph, execution_flows, to_semilattice
-from hyperalloc.network import Link, NetworkModel, RequestProfile, round_trip_matrix
+from hyperalloc.network import Link, NetworkModel, RequestProfile, com_t_max, ict, round_trip_matrix
 from hyperalloc.subspaces import (
     CompatibilityTable,
     DegenerateRow,
@@ -15,10 +15,8 @@ from hyperalloc.subspaces import (
     SubspaceError,
     SubspaceScore,
     UnknownPair,
-    capital_pi,
     cmpt_score,
     combine_scores,
-    communication_score,
     cplt_score,
     omega_update,
     overall_comm_bound,
@@ -95,10 +93,8 @@ def test_compatibility_table():
 def test_communication_score_wraps_worst_target():
     net = calibrated_net()
     profile = RequestProfile({("T", "R1", "F"): 2, ("T", "R1", "C"): 7})
-    s = communication_score(net, profile, "T", "R1")
-    assert s.subspace is Subspace.COMM
-    assert s.value == 1.0 / 372.75
-    assert communication_score(net, profile, "T", "R2").value == math.inf
+    assert ict(com_t_max(net, profile, "T", "R1")) == 1.0 / 372.75
+    assert ict(com_t_max(net, profile, "T", "R2")) == math.inf
 
 
 def test_top_row_is_uniform_exactly():
@@ -267,14 +263,12 @@ def test_a2_override_reconstructs_given_row():
 def test_capital_pi_and_cplt_score():
     state = fixture_state()
     top = lattice().components[0].top
-    assert capital_pi(state, top, "R1") == 0.2
+    assert state.capital[state.row_index[top], state.col_index["R1"]] == 0.2
     s = cplt_score(state, "R2")
     assert s.subspace is Subspace.CPLT
     assert abs(s.value - state.capital[state.top_row, 1] * state.capital[state.bottom_row, 1]) < 1e-18
     with pytest.raises(SubspaceError):
         cplt_score(state, "R9")
-    with pytest.raises(SubspaceError):
-        capital_pi(state, algorithm(99), "R1")
 
 
 def test_cplt_requires_single_component():
