@@ -24,7 +24,6 @@ from itertools import count, islice
 from operator import attrgetter
 
 from .errors import HyperallocError
-from .subspaces import SubspaceScore, combine_scores
 
 IDLE_TASK = "idle"
 _START = attrgetter("t_s")
@@ -181,25 +180,20 @@ def reallocation_loss(report: ImpactReport, scorer) -> float:
     return loss
 
 
-def _is_non_perturbing(candidate: CandidateReport) -> bool:
-    return not candidate.impact.moved or not candidate.impact.nv
-
-
-def allocate(task, arrival, arrival_idx, candidates, score_fn, duration_fn, window, schedules, rescore_fn) -> AllocationDecision:
+def allocate(task, arrival, arrival_idx, rows, duration_fn, window, schedules, rescore_fn) -> AllocationDecision:
     """Pick a node for one arriving task.
 
-    ``candidates`` is a sequence of (label, node index) pairs;
-    ``score_fn(task, label, arrival_idx)`` returns the per-subspace score
-    mapping, ``duration_fn(task, label)`` the busy time the task would
+    ``rows`` holds one ``(label, node index, scores, combined)`` row per
+    candidate, its per-subspace score mapping already checked and combined;
+    candidates are reported in row order (``run`` passes node-index order).
+    ``duration_fn(task, label)`` returns the busy time the task would
     occupy on that node.  Candidates scoring zero or violating the task
     window are recorded but inadmissible.  Among admissible candidates
     the maximal combined score wins; score ties prefer non-perturbing
     placements, then strictly minimal loss, then the lowest node index.
     """
     reports = []
-    for label, idx in sorted(candidates, key=lambda c: c[1]):
-        scores = score_fn(task, label, arrival_idx)
-        combined = combine_scores([SubspaceScore(s, v) for s, v in scores.items()])
+    for label, idx, scores, combined in rows:
         if combined == 0:
             reports.append(CandidateReport(label, idx, scores, combined, False, "zero-score"))
             continue
@@ -220,11 +214,11 @@ def allocate(task, arrival, arrival_idx, candidates, score_fn, duration_fn, wind
     top = [c for c in admissible if c.combined == best]
     if len(top) == 1:
         return AllocationDecision(task, arrival, arrival_idx, top[0].node, MAX_SCORE, reports)
-    quiet = [c for c in top if _is_non_perturbing(c)]
+    quiet = [c for c in top if not c.impact.nv]  # no entry displaced, or none loses score
     if quiet:
-        return AllocationDecision(task, arrival, arrival_idx, quiet[0].node, NON_PERTURBING, reports)
-    least = min(c.loss for c in top)
-    chosen = next(c for c in top if c.loss == least)
+        chosen = min(quiet, key=lambda c: c.node_idx)
+        return AllocationDecision(task, arrival, arrival_idx, chosen.node, NON_PERTURBING, reports)
+    chosen = min(top, key=lambda c: (c.loss, c.node_idx))
     return AllocationDecision(task, arrival, arrival_idx, chosen.node, MIN_LOSS, reports)
 
 

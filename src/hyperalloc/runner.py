@@ -3,7 +3,9 @@
 The engine turns a parsed scenario into a network model, request
 profile, compatibility table, and one flow lattice per task, then walks
 the arrival sequence one arrival at a time: each decision reads the
-schedules the previous ones committed.
+schedules the previous ones committed.  Scores do not depend on them, so
+a task's candidates are scored once, at its first arrival (sample mode
+redraws only the communication score for each later arrival).
 """
 
 from __future__ import annotations
@@ -37,7 +39,10 @@ from .scenario import RunOptions, Scenario, set_option
 from .subspaces import (
     CompatibilityTable,
     Subspace,
+    SubspaceScore,
     cmpt_score,
+    combine_scores,
+    combine_values,
     cplt_score,
     overall_comm_bound,
     pi_init,
@@ -80,84 +85,87 @@ class _Engine:
             task.task_id: to_semilattice(build_graph(len(task.labels), task.edges))
             for task in sc.tasks.values()
         }
-        self.states = {}
         self.convergence = {}
         self.warnings = []
         self._late = set()  # (task, node) pairs already warned about their deadline
         self._durations = {}
-        self._ict = dict(sc.overrides_comm)  # overrides, then expected scores once computed
-
-    def candidates(self, task_id: str) -> list:
-        spec = self.sc.tasks[task_id]
-        chosen = spec.candidates if spec.candidates is not None else self.labels
-        return [(label, self.net.node(label).idx) for label in chosen]
+        self._tables = {}  # task -> (candidate rows by node index, row positions to redraw)
 
     def capability_state(self, task_id: str):
-        state = self.states.get(task_id)
-        if state is None:
-            spec = self.sc.tasks[task_id]
-            assignment = {algorithm(i): label for i, label in spec.assignment.items()}
-            state = pi_init(
-                self.lattices[task_id],
-                self.labels,
-                spec.exec_times,
-                incapable=spec.incapable,
-                net=self.net,
-                assignment=assignment,
-                step=self.opts.step,
+        """Run a task's capability dynamics and record their convergence, once per task."""
+        spec = self.sc.tasks[task_id]
+        assignment = {algorithm(i): label for i, label in spec.assignment.items()}
+        state = pi_init(
+            self.lattices[task_id],
+            self.labels,
+            spec.exec_times,
+            incapable=spec.incapable,
+            net=self.net,
+            assignment=assignment,
+            step=self.opts.step,
+        )
+        pi_limit(state, tol=self.opts.tol, max_iter=self.opts.max_iter)
+        self.convergence[task_id] = {"iterations": state.iterations, "converged": bool(state.converged)}
+        if not state.converged:
+            self.warnings.append(
+                f"task {task_id}: capability dynamics still moving "
+                f"after {state.iterations} iterations"
             )
-            pi_limit(state, tol=self.opts.tol, max_iter=self.opts.max_iter)
-            self.states[task_id] = state
-            self.convergence[task_id] = {
-                "iterations": state.iterations,
-                "converged": bool(state.converged),
-            }
-            if not state.converged:
-                self.warnings.append(
-                    f"task {task_id}: capability dynamics still moving "
-                    f"after {state.iterations} iterations"
-                )
         return state
 
-    def scores_for(self, task_id: str, arrival_idx: int, candidates) -> dict:
-        if Subspace.CPLT in self.opts.subspaces:
-            # built first, so its warning precedes this arrival's deadline warnings
-            self.capability_state(task_id)
-        return dict(self._score_one(task_id, arrival_idx, c) for c in candidates)
+    def rows(self, task_id: str, arrival_idx: int) -> list:
+        """Candidate rows ``(label, idx, scores, combined)`` in node-index order.
 
-    def _score_one(self, task_id, arrival_idx, candidate):
-        label, idx = candidate
-        scores = {}
-        for subspace in self.opts.subspaces:
-            if subspace is Subspace.CMPT:
-                scores[subspace] = cmpt_score(self.table, task_id, label).value
-            elif subspace is Subspace.COMM:
-                scores[subspace] = self._comm_value(task_id, arrival_idx, label, idx)
-            else:
-                scores[subspace] = cplt_score(self.capability_state(task_id), label).value
-        return label, scores
+        Built, checked and combined at the task's first arrival.  Only sample
+        mode with COMM selected changes them later: each arrival redraws comm
+        in declared candidate order (the order of its deadline warnings).
+        """
+        if task_id in self._tables:
+            rows, redraw = self._tables[task_id]
+            if redraw:
+                rows = rows.copy()
+                for pos in redraw:
+                    label, idx, scores, _ = rows[pos]
+                    scores = dict(scores)  # same key order, so the same product order
+                    scores[Subspace.COMM] = self._comm_score(task_id, arrival_idx, label, idx).value
+                    rows[pos] = (label, idx, scores, combine_values(scores.values()))
+            return rows
+        spec = self.sc.tasks[task_id]
+        subspaces = self.opts.subspaces
+        # built first, so its warning precedes the deadline warnings
+        state = self.capability_state(task_id) if Subspace.CPLT in subspaces else None
+        declared = []
+        for label in spec.candidates if spec.candidates is not None else self.labels:
+            idx = self.net.node(label).idx
+            scores = []
+            for subspace in subspaces:
+                if subspace is Subspace.CMPT:
+                    scores.append(cmpt_score(self.table, task_id, label))
+                elif subspace is Subspace.COMM:
+                    scores.append(self._comm_score(task_id, arrival_idx, label, idx))
+                else:
+                    scores.append(cplt_score(state, label))
+            declared.append((label, idx, {s.subspace: s.value for s in scores}, combine_scores(scores)))
+        rows = sorted(declared, key=lambda row: row[1])
+        drawn = self.opts.mode == "sample" and Subspace.COMM in subspaces
+        self._tables[task_id] = rows, [rows.index(row) for row in declared] if drawn else ()
+        return rows
 
-    def _comm_value(self, task_id, arrival_idx, label, idx) -> float:
-        known = self._ict.get((task_id, label))
-        if known is not None:
-            return known
-        rng = None
-        if self.opts.mode == "sample":
-            rng = substream(self.opts.seed, 1, arrival_idx, idx)
-        comt = com_t_max(self.net, self.profile, task_id, label, self.opts.mode, rng)
-        deadline = self.sc.tasks[task_id].window[1]
-        if comt > deadline and (task_id, label) not in self._late:
-            # once per pair: in sample mode later draws would add a line each
-            self._late.add((task_id, label))
-            self.warnings.append(
-                f"task {task_id} on {label}: round-trip total {comt:.6g} "
-                f"exceeds deadline {deadline:.6g}"
-            )
-        value = ict(comt)
-        if self.opts.mode == "expected":
-            # an expected comT depends only on the network and profile, fixed for the run
-            self._ict[(task_id, label)] = value
-        return value
+    def _comm_score(self, task_id, arrival_idx, label, idx) -> SubspaceScore:
+        value = self.sc.overrides_comm.get((task_id, label))
+        if value is None:
+            rng = substream(self.opts.seed, 1, arrival_idx, idx) if self.opts.mode == "sample" else None
+            comt = com_t_max(self.net, self.profile, task_id, label, self.opts.mode, rng)
+            deadline = self.sc.tasks[task_id].window[1]
+            if comt > deadline and (task_id, label) not in self._late:
+                # once per pair: in sample mode later draws would add a line each
+                self._late.add((task_id, label))
+                self.warnings.append(
+                    f"task {task_id} on {label}: round-trip total {comt:.6g} "
+                    f"exceeds deadline {deadline:.6g}"
+                )
+            value = ict(comt)
+        return SubspaceScore(Subspace.COMM, value)
 
     def duration(self, task_id: str, label: str) -> float:
         key = (task_id, label)
@@ -183,13 +191,14 @@ class _Engine:
         return total
 
     def rescorer(self):
-        windows = {task_id: spec.window for task_id, spec in self.sc.tasks.items()}
+        # no shifted end exceeds an infinite deadline, so only finite ones are tested
+        deadlines = {task: spec.window[1] for task, spec in self.sc.tasks.items() if spec.window[1] < math.inf}
 
         def rescore(entry, new_start):
             if entry.forced_idle:
                 return 0.0
-            deadline = windows.get(entry.task, (0.0, math.inf))[1]
-            if new_start + entry.duration > deadline:
+            deadline = deadlines.get(entry.task)
+            if deadline is not None and new_start + (entry.t_e - entry.t_s) > deadline:
                 return 0.0
             return entry.score
 
@@ -234,19 +243,9 @@ def run(
     gc.disable()
     try:
         for i, (t, task_id) in enumerate(scenario.arrivals):
-            candidates = engine.candidates(task_id)
-            scores = engine.scores_for(task_id, i, candidates)
-            decision = allocate(
-                task_id,
-                t,
-                i,
-                candidates,
-                lambda task, label, _idx, table=scores: table[label],
-                engine.duration,
-                engine.sc.tasks[task_id].window,
-                schedules,
-                rescore,
-            )
+            rows = engine.rows(task_id, i)
+            window = scenario.tasks[task_id].window
+            decision = allocate(task_id, t, i, rows, engine.duration, window, schedules, rescore)
             commit_decision(decision, schedules)
             decisions.append(decision)
     finally:

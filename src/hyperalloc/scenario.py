@@ -5,7 +5,7 @@ ignored.  Sections:
 
     [network]   node <label> kind=<robot|fog|cloud>
                 link <a> <b> c=<time> lambda=<rate>
-    [profile]   requests <task> <source> <target> k=<count>
+    [profile]   requests <task> <source> <target> k=<count in 0..MAX_REQUESTS>
     [compat]    incompatible <task> <node>
     [overrides] override comm <task> <node> <value>
     [task <id>] window a=<time> b=<time|inf>
@@ -33,6 +33,8 @@ from .errors import HyperallocError
 from .graphs import GraphError, build_graph, to_semilattice
 from .network import MODES, NODE_KINDS
 from .subspaces import Subspace
+
+MAX_REQUESTS = 1_000_000  # sample mode draws 2k delays per hop for each candidate scored
 
 
 @dataclass(frozen=True)
@@ -237,8 +239,8 @@ class _Parser:
         except ValueError:
             self.bad(line_no, _col(raw, tokens[4]), "request count must be an integer")
             return
-        if k < 0:
-            self.bad(line_no, _col(raw, tokens[4]), "request count must be >= 0")
+        if not 0 <= k <= MAX_REQUESTS:
+            self.bad(line_no, _col(raw, tokens[4]), f"request count must lie in [0, {MAX_REQUESTS}]")
             return
         key = (tokens[1], tokens[2], tokens[3])
         if key in self.sc.requests:

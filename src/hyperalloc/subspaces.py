@@ -428,6 +428,11 @@ def combine_scores(scores) -> float:
             raise DuplicateSubspace(f"subspace {s.subspace.value} given twice")
         seen.add(s.subspace)
         values.append(s.value)
+    return combine_values(values)
+
+
+def combine_values(values) -> float:
+    """:func:`combine_scores` on a sequence of checked values, multiplied left to right."""
     if any(v == 0 for v in values):
         return 0.0
     return math.prod(values, start=1.0)

@@ -13,9 +13,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hyperalloc.allocator import IDLE_TASK, ScheduleEntry, WindowViolation
-from hyperalloc.graphs import AlgorithmId
-from hyperalloc.network import round_trip_matrix
-from hyperalloc.subspaces import CapabilityState, DegenerateRow
+from hyperalloc.delays import substream
+from hyperalloc.graphs import AlgorithmId, algorithm, build_graph, to_semilattice
+from hyperalloc.network import com_t_max, ict, round_trip_matrix
+from hyperalloc.subspaces import (
+    CapabilityState,
+    DegenerateRow,
+    Subspace,
+    SubspaceScore,
+    combine_scores,
+    cplt_score,
+    pi_init,
+    pi_limit,
+)
 
 
 # ---------------------------------------------------------------- flows
@@ -260,6 +270,51 @@ def oracle_decide(candidates, combined, schedules, arrival, durations, window, r
     least = min(admissible[label][4] for label in top)
     pick = next(label for label in top if admissible[label][4] == least)
     return pick, "min-loss", admissible[pick]
+
+
+# -------------------------------------------------------------- scoring
+
+
+def score_per_arrival(sc, opts, net, profile, states, task_id, arrival_idx):
+    """Candidate rows ``(label, idx, scores, combined)`` of one arrival, scored afresh.
+
+    Every subspace score is recomputed for this arrival alone and
+    combined with ``combine_scores``, in node-index order; sample mode
+    draws comm from ``substream(seed, 1, arrival_idx, idx)``.  ``states``
+    caches each task's converged capability dynamics, which no arrival
+    changes.
+    """
+    spec = sc.tasks[task_id]
+    labels = spec.candidates if spec.candidates is not None else [ref.label for ref in net.ordered]
+    if Subspace.CPLT in opts.subspaces and task_id not in states:
+        state = pi_init(
+            to_semilattice(build_graph(len(spec.labels), spec.edges)),
+            tuple(ref.label for ref in net.ordered),
+            spec.exec_times,
+            incapable=spec.incapable,
+            net=net,
+            assignment={algorithm(i): label for i, label in spec.assignment.items()},
+            step=opts.step,
+        )
+        pi_limit(state, tol=opts.tol, max_iter=opts.max_iter)
+        states[task_id] = state
+    rows = []
+    for label in sorted(labels, key=lambda label: net.node(label).idx):
+        idx = net.node(label).idx
+        scores = {}
+        for subspace in opts.subspaces:
+            if subspace is Subspace.CMPT:
+                scores[subspace] = 0.0 if (task_id, label) in sc.incompatible else 1.0
+            elif subspace is Subspace.COMM and (task_id, label) in sc.overrides_comm:
+                scores[subspace] = sc.overrides_comm[(task_id, label)]
+            elif subspace is Subspace.COMM:
+                rng = substream(opts.seed, 1, arrival_idx, idx) if opts.mode == "sample" else None
+                scores[subspace] = ict(com_t_max(net, profile, task_id, label, opts.mode, rng))
+            else:
+                scores[subspace] = cplt_score(states[task_id], label).value
+        combined = combine_scores([SubspaceScore(s, v) for s, v in scores.items()])
+        rows.append((label, idx, scores, combined))
+    return rows
 
 
 # -------------------------------------------------------------- generators

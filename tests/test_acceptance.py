@@ -246,8 +246,12 @@ def test_08_perturbation_invariants():
             def lib_rescore(entry, new_start):
                 return pure_rescore(entry.task, entry.score, entry.duration, new_start)
 
-            def score_fn(task, label, arrival_idx):
-                return {Subspace.COMM: combined[(task, label)]}
+            def rows_for(task):
+                return [
+                    (label, idx, {Subspace.COMM: value}, combine_scores([SubspaceScore(Subspace.COMM, value)]))
+                    for label, idx in candidates
+                    for value in [combined[(task, label)]]
+                ]
 
             def duration_fn(task, label):
                 return durations[(task, label)]
@@ -264,8 +268,7 @@ def test_08_perturbation_invariants():
                     task,
                     t,
                     i,
-                    candidates,
-                    score_fn,
+                    rows_for(task),
                     duration_fn,
                     windows[task],
                     schedules,

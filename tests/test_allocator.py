@@ -18,7 +18,7 @@ from hyperalloc.allocator import (
     reallocation_loss,
     schedule_impact,
 )
-from hyperalloc.subspaces import Subspace
+from hyperalloc.subspaces import Subspace, SubspaceScore, combine_scores
 
 from _oracles import commit_decision_full, reallocation_loss_full, schedule_impact_full
 
@@ -126,11 +126,11 @@ def test_reallocation_loss_counts_strict_drops_only():
 # --------------------------------------------------------- decision rule
 
 
-def fixed_scores(values):
-    def score_fn(task, label, arrival_idx):
-        return {Subspace.COMM: values[label]}
-
-    return score_fn
+def fixed_scores(candidates, values):
+    return [
+        (label, idx, {Subspace.COMM: values[label]}, combine_scores([SubspaceScore(Subspace.COMM, values[label])]))
+        for label, idx in candidates
+    ]
 
 
 def fixed_durations(values):
@@ -143,8 +143,7 @@ def test_allocate_picks_unique_max_score():
         "t",
         0.0,
         0,
-        [("n1", 1), ("n2", 2)],
-        fixed_scores({"n1": 0.4, "n2": 0.9}),
+        fixed_scores([("n1", 1), ("n2", 2)], {"n1": 0.4, "n2": 0.9}),
         fixed_durations({"n1": 1.0, "n2": 1.0}),
         (0.0, math.inf),
         schedules,
@@ -161,8 +160,7 @@ def test_allocate_excludes_zero_and_violations():
         "t",
         50.0,
         0,
-        [("n1", 1), ("n2", 2)],
-        fixed_scores({"n1": 0.0, "n2": 0.5}),
+        fixed_scores([("n1", 1), ("n2", 2)], {"n1": 0.0, "n2": 0.5}),
         fixed_durations({"n1": 5.0, "n2": 5.0}),
         (0.0, 60.0),
         schedules,
@@ -182,8 +180,7 @@ def test_allocate_tie_prefers_non_perturbing():
         "t",
         0.0,
         0,
-        [("n1", 1), ("n2", 2)],
-        fixed_scores({"n1": 0.7, "n2": 0.7}),
+        fixed_scores([("n1", 1), ("n2", 2)], {"n1": 0.7, "n2": 0.7}),
         fixed_durations({"n1": 2.0, "n2": 2.0}),
         (0.0, math.inf),
         schedules,
@@ -204,8 +201,7 @@ def test_allocate_tie_on_harmless_shift_counts_as_non_perturbing():
         "t",
         0.0,
         0,
-        [("n1", 1), ("n2", 2)],
-        fixed_scores({"n1": 0.7, "n2": 0.7}),
+        fixed_scores([("n1", 1), ("n2", 2)], {"n1": 0.7, "n2": 0.7}),
         fixed_durations({"n1": 2.0, "n2": 2.0}),
         (0.0, math.inf),
         schedules,
@@ -224,8 +220,7 @@ def test_allocate_tie_minimises_loss():
         "t",
         0.0,
         0,
-        [("n1", 1), ("n2", 2)],
-        fixed_scores({"n1": 0.7, "n2": 0.7}),
+        fixed_scores([("n1", 1), ("n2", 2)], {"n1": 0.7, "n2": 0.7}),
         fixed_durations({"n1": 2.0, "n2": 2.0}),
         (0.0, math.inf),
         schedules,
@@ -245,8 +240,7 @@ def test_allocate_full_tie_takes_lowest_index():
         "t",
         0.0,
         0,
-        [("n2", 2), ("n1", 1)],  # deliberately out of order
-        fixed_scores({"n1": 0.7, "n2": 0.7}),
+        fixed_scores([("n2", 2), ("n1", 1)], {"n1": 0.7, "n2": 0.7}),  # deliberately out of order
         fixed_durations({"n1": 2.0, "n2": 2.0}),
         (0.0, math.inf),
         schedules,
@@ -264,8 +258,7 @@ def run_one(schedules, arrival=0.0, window=(0.0, math.inf), duration=2.0, score=
         "t",
         arrival,
         0,
-        [("n1", 1)],
-        fixed_scores({"n1": score}),
+        fixed_scores([("n1", 1)], {"n1": score}),
         fixed_durations({"n1": duration}),
         window,
         schedules,
@@ -302,8 +295,7 @@ def test_forced_idle_is_displaceable():
         "u",
         0.5,
         1,
-        [("n1", 1)],
-        fixed_scores({"n1": 0.5}),
+        fixed_scores([("n1", 1)], {"n1": 0.5}),
         fixed_durations({"n1": 2.0}),
         (0.0, math.inf),
         schedules,
@@ -328,8 +320,7 @@ def test_rejected_decision_changes_nothing():
         "t",
         0.0,
         0,
-        [("n1", 1)],
-        fixed_scores({"n1": 0.0}),
+        fixed_scores([("n1", 1)], {"n1": 0.0}),
         fixed_durations({"n1": 1.0}),
         (0.0, math.inf),
         schedules,
@@ -480,8 +471,7 @@ def test_allocate_and_commit_arrivals_in_turn():
             task,
             t,
             i,
-            nodes,
-            fixed_scores({"n1": 0.9, "n2": 0.1}),
+            fixed_scores(nodes, {"n1": 0.9, "n2": 0.1}),
             fixed_durations({"n1": 2.0, "n2": 2.0}),
             (0.0, math.inf),
             schedules,

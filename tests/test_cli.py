@@ -145,6 +145,18 @@ def test_non_finite_times_exit_1(capsys, tmp_path, old, new):
     assert len(lines) == 1 and lines[0].startswith(f"{bad}: line ")
 
 
+def test_unbounded_request_count_exits_1(capsys, tmp_path):
+    # k sizes sample mode's delay draws: the parser rejects it (exit 1) before numpy does (exit 2)
+    bad = tmp_path / "bad.scn"
+    text = (SCENARIO_DIR / "three_robots.scn").read_text(encoding="utf-8")
+    lines = [line for line in text.splitlines() if not line.startswith("override")]
+    bad.write_text("\n".join(lines).replace("T R1 F k=2", "T R1 F k=99999999999999999999"), encoding="utf-8")
+    code, out, err = invoke(capsys, "allocate", "--scenario", str(bad), "--mode", "sample")
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"{bad}: line ") and "request count" in line
+
+
 def test_infinite_tol_is_rejected(capsys, tmp_path):
     bad = tmp_path / "bad.scn"
     text = (SCENARIO_DIR / "minimal.scn").read_text(encoding="utf-8")

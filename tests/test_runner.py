@@ -9,6 +9,8 @@ import pytest
 import hyperalloc
 from hyperalloc import runner
 from hyperalloc.allocator import MAX_SCORE, NO_CAPABLE_NODE, NON_PERTURBING
+from hyperalloc.delays import ExponentialDelay
+from hyperalloc.network import Link, NetworkModel, RequestProfile
 from hyperalloc.report import emit_report
 from hyperalloc.runner import (
     EngineError,
@@ -18,7 +20,9 @@ from hyperalloc.runner import (
     run,
 )
 from hyperalloc.scenario import parse_scenario
-from hyperalloc.subspaces import DegenerateRow, Subspace
+from hyperalloc.subspaces import DegenerateRow, Subspace, SubspaceError
+
+from _oracles import oracle_decide, score_per_arrival
 
 
 def strip_overrides(text):
@@ -282,6 +286,133 @@ def test_sample_mode_warnings_are_bounded_by_tasks_times_nodes():
     assert pairs and len(pairs) == len(warnings)
     assert len(set(pairs)) == len(pairs)
     assert len(pairs) <= len(sc.tasks) * len(sc.nodes)
+
+
+# --------------------------------------------------- candidate tables
+
+
+def varied_scenario(seed, options=""):
+    """A small generated scenario with declared candidates in shuffled order,
+    tight deadlines and comm overrides, plus ``options`` as an [options] body."""
+    rng = random.Random(seed)
+    labels = [f"N{i}" for i in range(1, 11)]
+    lines = []
+    for line in generated_scenario(seed, nodes=10, vertices=4, arrivals=60).splitlines():
+        lines.append(line)
+        if line.startswith("vertices"):
+            lines.append("candidates " + " ".join(rng.sample(labels, rng.randint(3, 10))))
+            # T1's own window line follows and replaces this one
+            lines.append(f"window a=0.0 b={rng.choice((10.0, 20.0, 'inf'))}")
+    lines.append("[overrides]")
+    for label in rng.sample(labels, 3):
+        lines.append(f"override comm T{rng.randint(1, 3)} {label} {rng.choice(('0', '0.5', 'inf'))}")
+    return "\n".join(lines) + f"\n[options]\n{options}"
+
+
+@pytest.mark.parametrize("mode", ["expected", "sample"])
+@pytest.mark.parametrize("subspaces", ["cmpt,comm,cplt", "comm", "cmpt,cplt", "comm,cplt"])
+def test_candidate_rows_match_per_arrival_scoring(monkeypatch, mode, subspaces):
+    allocate = runner.allocate
+
+    def bits(scores):
+        return [(s, v.hex()) for s, v in scores.items()]
+
+    for seed in range(3):
+        sc = parse_scenario(varied_scenario(seed, f"mode {mode}\nseed {seed}\nsubspaces {subspaces}\n"))
+        net = NetworkModel(sc.nodes, [Link(a, b, c, ExponentialDelay(lam)) for a, b, c, lam in sc.links])
+        profile = RequestProfile(sc.requests)
+        states, checked = {}, []
+
+        def checking(task, arrival, arrival_idx, rows, duration_fn, window, schedules, rescore_fn):
+            expect = score_per_arrival(sc, sc.options, net, profile, states, task, arrival_idx)
+            snapshot = {
+                label: [(e.task, e.t_s, e.t_e, e.score) for e in entries] for label, entries in schedules.items()
+            }
+            decision = allocate(task, arrival, arrival_idx, rows, duration_fn, window, schedules, rescore_fn)
+            assert [(c.node, c.node_idx, bits(c.scores), c.combined.hex()) for c in decision.candidates] == [
+                (label, idx, bits(scores), combined.hex()) for label, idx, scores, combined in expect
+            ]
+
+            def rescore(entry_task, score, length, new_start):
+                deadline = sc.tasks[entry_task].window[1] if entry_task in sc.tasks else math.inf
+                return 0.0 if entry_task == "idle" or new_start + length > deadline else score
+
+            want = oracle_decide(
+                [(label, idx) for label, idx, _, _ in expect],
+                {label: combined for label, _, _, combined in expect},
+                snapshot,
+                arrival,
+                {label: duration_fn(task, label) for label, _, _, combined in expect if combined != 0},
+                window,
+                rescore,
+            )
+            if want is None:
+                assert (decision.chosen, decision.rationale) == (None, NO_CAPABLE_NODE)
+            else:
+                winner = next(c for c in decision.candidates if c.node == decision.chosen)
+                impact = winner.impact
+                got = (impact.start, impact.end, impact.affected, impact.nv, winner.loss)
+                assert (decision.chosen, decision.rationale, got) == want
+            checked.append(arrival_idx)
+            return decision
+
+        monkeypatch.setattr(runner, "allocate", checking)
+        run(sc)
+        assert checked == list(range(len(sc.arrivals)))
+
+
+def record_calls(monkeypatch, name, key):
+    """Patch ``runner.<name>`` to append ``key(*args)`` of every call to the returned list."""
+    calls = []
+    original = getattr(runner, name)
+
+    def recording(*args):
+        calls.append(key(*args))
+        return original(*args)
+
+    monkeypatch.setattr(runner, name, recording)
+    return calls
+
+
+def test_expected_mode_scores_each_candidate_once_per_run(monkeypatch):
+    sc = parse_scenario(varied_scenario(4, "mode expected\n"))
+    cmpt = record_calls(monkeypatch, "cmpt_score", lambda table, task, label: (task, label))
+    cplt = record_calls(monkeypatch, "cplt_score", lambda state, label: (id(state), label))
+    combined = record_calls(monkeypatch, "combine_scores", len)
+    run(sc)
+    arrived = {task for _, task in sc.arrivals}
+    pairs = {(task, label) for task in arrived for label in sc.tasks[task].candidates}
+    assert len(sc.arrivals) > 2 * len(arrived)
+    assert sorted(cmpt) == sorted(pairs)
+    assert len(set(cplt)) == len(cplt) == len(pairs)
+    assert combined == [3] * len(pairs)
+
+
+def test_sample_mode_draws_comm_once_per_arrival_and_candidate_in_declared_order(monkeypatch):
+    sc = parse_scenario(varied_scenario(4, "mode sample\nsubspaces comm\n"))
+    draws = record_calls(monkeypatch, "substream", lambda seed, stream, arrival_idx, idx: (arrival_idx, idx))
+    run(sc)
+    net = NetworkModel(sc.nodes, [Link(a, b, c, ExponentialDelay(lam)) for a, b, c, lam in sc.links])
+    # declared order, not node-index order: the deadline warnings follow the draws
+    by_index = {task: sorted(spec.candidates, key=lambda n: net.node(n).idx) for task, spec in sc.tasks.items()}
+    assert any(spec.candidates != by_index[task] for task, spec in sc.tasks.items())
+    assert draws == [
+        (i, net.node(label).idx)
+        for i, (_, task) in enumerate(sc.arrivals)
+        for label in sc.tasks[task].candidates
+        if (task, label) not in sc.overrides_comm
+    ]
+
+
+def test_negative_comm_override_fails_at_the_tasks_first_arrival(monkeypatch):
+    sc = parse_scenario(varied_scenario(4))
+    late = sc.arrivals[-1][1]
+    first = next(i for i, (_, task) in enumerate(sc.arrivals) if task == late)
+    sc.overrides_comm[(late, sc.tasks[late].candidates[0])] = -1.0
+    commits = record_calls(monkeypatch, "commit_decision", lambda decision, schedules: decision.arrival_idx)
+    with pytest.raises(SubspaceError, match="communication score must be >= 0"):
+        run(sc)
+    assert first > 0 and commits == list(range(first))
 
 
 # ------------------------------------------------ garbage-collector pause

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from hyperalloc.scenario import (
+    MAX_REQUESTS,
     DuplicateDefinition,
     ParseError,
     ScenarioError,
@@ -224,6 +225,21 @@ def test_non_finite_values_are_located_issues(old, new, line):
     assert isinstance(err, ParseError)
     # a dropped link or exec row may add a later cascade issue
     assert err.issues[0].line == line
+
+
+@pytest.mark.parametrize("k", ["0", str(MAX_REQUESTS)])
+def test_request_count_bounds_accepted(k):
+    sc = parse_scenario(MINIMAL + f"\n[profile]\nrequests T A B k={k}\n")
+    assert sc.requests[("T", "A", "B")] == int(k)
+
+
+@pytest.mark.parametrize("k", ["-1", str(MAX_REQUESTS + 1), "99999999999999999999"])
+def test_request_count_out_of_range_is_located(k):
+    err = errors_of(MINIMAL + f"\n[profile]\nrequests T A B k={k}\n")
+    assert isinstance(err, ParseError)
+    assert [(i.line, i.col, i.message) for i in err.issues] == [
+        (16, 16, f"request count must lie in [0, {MAX_REQUESTS}]")
+    ]
 
 
 def test_option_validation():
