@@ -126,7 +126,7 @@ def schedule_impact(schedule, task, duration, arrival, window=(0.0, math.inf), n
     are skipped (report indices still count them).  It is not modified.
 
     Raises WindowViolation when the claimed slot would end after the
-    window deadline.
+    window deadline, or when it or a shifted entry would end at infinity.
     """
     if not duration > 0:
         raise ValueError(f"duration must be positive, got {duration}")
@@ -150,6 +150,8 @@ def schedule_impact(schedule, task, duration, arrival, window=(0.0, math.inf), n
             break  # the entry keeps its slot, and so does every later one
         new_starts.append(frontier)
         frontier += entry.duration
+    if frontier == math.inf:  # the new slot's end, or the last shifted entry's new end
+        raise WindowViolation(f"task {task} would push {node or 'the schedule'} past the largest finite time")
     if new_starts:
         report.first = first
         report.moved = schedule[first : first + len(new_starts)]

@@ -7,6 +7,11 @@ virtual finish vertex drains every sink.  An execution flow is a
 start-to-finish path of the lifted graph; flows are enumerated in
 deterministic lexicographic order of their vertex index sequences.
 
+A lattice's vertices are integer positions: all virtual starts (by
+component), the real algorithms by ascending index, then all virtual
+finishes.  Every pass works on positions; an :class:`AlgorithmId` only
+names one (``sl.order[r]``), where vertices enter or leave the program.
+
 Structures built here are treated as immutable and may be shared freely.
 """
 
@@ -14,6 +19,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import HyperallocError
 
@@ -42,7 +49,7 @@ class FlowExplosion(GraphError):
 
 @dataclass(frozen=True)
 class AlgorithmId:
-    """A real algorithm (``A<index>``) or a virtual component endpoint.
+    """The name of a real algorithm (``A<index>``) or a virtual component endpoint.
 
     Virtual endpoints are numbered by their component (1-based); real
     vertices carry their algorithm index.
@@ -55,15 +62,6 @@ class AlgorithmId:
     @property
     def is_virtual(self) -> bool:
         return self.is_virtual_top or self.is_virtual_bottom
-
-    def sort_key(self) -> tuple[int, int]:
-        if self.is_virtual_top:
-            kind = 0
-        elif self.is_virtual_bottom:
-            kind = 2
-        else:
-            kind = 1
-        return (kind, self.index)
 
     def __str__(self) -> str:
         if self.is_virtual_top:
@@ -78,44 +76,41 @@ def algorithm(index: int) -> AlgorithmId:
     return AlgorithmId(index)
 
 
+@dataclass(frozen=True)
 class AlgorithmGraph:
-    """Validated DAG over real algorithm vertices.
+    """Validated DAG over real algorithm indices 1..vertex_count.
 
-    Built through :func:`build_graph`; do not mutate after construction.
+    ``succ[i]`` and ``pred[i]`` list vertex i's neighbours ascending
+    (entry 0 is empty).  Built through :func:`build_graph`.
     """
 
-    __slots__ = ("vertex_count", "vertices", "edges", "succ", "pred")
-
-    def __init__(self, vertex_count, vertices, edges, succ, pred):
-        self.vertex_count = vertex_count
-        self.vertices = vertices  # frozenset[AlgorithmId]
-        self.edges = edges  # frozenset[(AlgorithmId, AlgorithmId)]
-        self.succ = succ  # dict[AlgorithmId, tuple[AlgorithmId, ...]]
-        self.pred = pred
-
-    def __repr__(self):
-        return f"AlgorithmGraph(n={self.vertex_count}, edges={len(self.edges)})"
+    vertex_count: int
+    succ: tuple
+    pred: tuple
 
 
 @dataclass(frozen=True)
 class Component:
-    """One weakly connected component with its virtual endpoints."""
+    """One weakly connected component: the positions of its virtual
+    endpoints and of its real members."""
 
-    top: AlgorithmId
-    bottom: AlgorithmId
+    top: int
+    bottom: int
     members: frozenset
 
 
 class SemiLattice:
     """Lifted graph: per-component virtual tops and bottoms added.
 
-    ``order`` lists vertices as all virtual tops (component order), real
-    vertices by ascending index, then all virtual bottoms; ``position``
-    maps a vertex to its slot in that order.  ``topo`` is a deterministic
-    topological order of the lifted DAG.
+    Vertices are positions ``0..len(order) - 1``: all virtual tops
+    (component order), real vertices by ascending index (``reals``, so
+    algorithm i sits at ``reals[i - 1]``), then all virtual bottoms.
+    ``order`` names the vertex at each position and ``position`` maps a
+    name back.  ``succ[r]`` and ``pred[r]`` list neighbour positions
+    ascending; ``topo`` is a deterministic topological order.
     """
 
-    __slots__ = ("base", "components", "succ", "pred", "order", "position", "topo")
+    __slots__ = ("base", "components", "succ", "pred", "order", "position", "reals", "topo")
 
     def __init__(self, base, components, succ, pred, order, topo):
         self.base = base
@@ -124,6 +119,7 @@ class SemiLattice:
         self.pred = pred
         self.order = order
         self.position = {v: i for i, v in enumerate(order)}
+        self.reals = range(len(components), len(components) + base.vertex_count)
         self.topo = topo
 
     def __repr__(self):
@@ -132,13 +128,10 @@ class SemiLattice:
 
 @dataclass(frozen=True)
 class ExecutionFlow:
-    """One start-to-finish path of a lifted component."""
+    """One start-to-finish path of a lifted component, as vertex names."""
 
     vertices: tuple
     component: int
-
-    def real_vertices(self) -> tuple:
-        return tuple(v for v in self.vertices if not v.is_virtual)
 
     def __str__(self) -> str:
         return " -> ".join(str(v) for v in self.vertices)
@@ -153,10 +146,8 @@ def build_graph(vertex_count: int, edges) -> AlgorithmGraph:
     """
     if vertex_count < 0:
         raise IndexOutOfRange(f"vertex count must be non-negative, got {vertex_count}")
-    vertices = frozenset(AlgorithmId(i) for i in range(1, vertex_count + 1))
-    succ = {v: set() for v in vertices}
-    pred = {v: set() for v in vertices}
-    seen = set()
+    succ = [set() for _ in range(vertex_count + 1)]
+    pred = [set() for _ in range(vertex_count + 1)]
     for a, b in edges:
         if not (1 <= a <= vertex_count) or not (1 <= b <= vertex_count):
             raise IndexOutOfRange(
@@ -164,32 +155,29 @@ def build_graph(vertex_count: int, edges) -> AlgorithmGraph:
             )
         if a == b:
             raise CycleDetected(f"self-edge on vertex {a}")
-        if (a, b) in seen:
+        if b in succ[a]:
             raise GraphError(f"duplicate edge ({a}, {b})")
-        seen.add((a, b))
-        succ[AlgorithmId(a)].add(AlgorithmId(b))
-        pred[AlgorithmId(b)].add(AlgorithmId(a))
+        succ[a].add(b)
+        pred[b].add(a)
 
     # Kahn's algorithm; leftovers mean a directed cycle.
-    indeg = {v: len(pred[v]) for v in vertices}
-    queue = [v for v in vertices if indeg[v] == 0]
+    indeg = [len(p) for p in pred]
+    queue = [v for v in range(1, vertex_count + 1) if not indeg[v]]
     processed = 0
     while queue:
         v = queue.pop()
         processed += 1
         for w in succ[v]:
             indeg[w] -= 1
-            if indeg[w] == 0:
+            if not indeg[w]:
                 queue.append(w)
     if processed != vertex_count:
         raise CycleDetected("edge set contains a directed cycle")
 
     return AlgorithmGraph(
         vertex_count,
-        vertices,
-        frozenset((a, b) for a in succ for b in succ[a]),
-        {v: tuple(sorted(succ[v], key=AlgorithmId.sort_key)) for v in vertices},
-        {v: tuple(sorted(pred[v], key=AlgorithmId.sort_key)) for v in vertices},
+        tuple(tuple(sorted(s)) for s in succ),
+        tuple(tuple(sorted(p)) for p in pred),
     )
 
 
@@ -198,74 +186,66 @@ def to_semilattice(g: AlgorithmGraph) -> SemiLattice:
 
     The virtual top points at every in-degree-0 member and every
     out-degree-0 member points at the virtual bottom.  An isolated vertex
-    gets both edges.
+    gets both edges.  Components are numbered by their lowest index.
     """
-    remaining = set(g.vertices)
+    n = g.vertex_count
+    seen = [False] * (n + 1)
     raw_components = []
-    while remaining:
-        seed = min(remaining, key=AlgorithmId.sort_key)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
+    for seed in range(1, n + 1):  # each component is seeded at its lowest index
+        if seen[seed]:
+            continue
+        seen[seed] = True
+        members = [seed]
+        for v in members:  # grows while it is walked
             for w in g.succ[v] + g.pred[v]:
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        remaining -= comp
-        raw_components.append(comp)
-    raw_components.sort(key=lambda c: min(v.index for v in c))
+                if not seen[w]:
+                    seen[w] = True
+                    members.append(w)
+        raw_components.append(sorted(members))
 
-    succ = {v: list(g.succ[v]) for v in g.vertices}
-    pred = {v: list(g.pred[v]) for v in g.vertices}
+    c = len(raw_components)
+    real = c - 1  # algorithm i sits at position real + i
+    succ = [[] for _ in range(c)] + [[real + w for w in ws] for ws in g.succ[1:]] + [[] for _ in range(c)]
+    pred = [[] for _ in range(c)] + [[real + w for w in ws] for ws in g.pred[1:]] + [[] for _ in range(c)]
     components = []
-    for ci, members in enumerate(raw_components, start=1):
-        top = AlgorithmId(ci, is_virtual_top=True)
-        bottom = AlgorithmId(ci, is_virtual_bottom=True)
-        sources = sorted((v for v in members if not g.pred[v]), key=AlgorithmId.sort_key)
-        sinks = sorted((v for v in members if not g.succ[v]), key=AlgorithmId.sort_key)
-        succ[top] = sources
-        pred[top] = []
-        succ[bottom] = []
-        pred[bottom] = sinks
-        for v in sources:
-            pred[v] = [top] + pred[v]
-        for v in sinks:
-            succ[v] = succ[v] + [bottom]
-        components.append(Component(top, bottom, frozenset(members)))
+    for k, members in enumerate(raw_components):
+        top, bottom = k, c + n + k
+        for i in members:
+            if not g.pred[i]:
+                succ[top].append(real + i)
+                pred[real + i].insert(0, top)
+            if not g.succ[i]:
+                succ[real + i].append(bottom)
+                pred[bottom].append(real + i)
+        components.append(Component(top, bottom, frozenset(real + i for i in members)))
 
     order = (
-        [c.top for c in components]
-        + sorted(g.vertices, key=AlgorithmId.sort_key)
-        + [c.bottom for c in components]
+        tuple(AlgorithmId(k, is_virtual_top=True) for k in range(1, c + 1))
+        + tuple(AlgorithmId(i) for i in range(1, n + 1))
+        + tuple(AlgorithmId(k, is_virtual_bottom=True) for k in range(1, c + 1))
     )
-    succ = {v: tuple(succ[v]) for v in order}
-    pred = {v: tuple(pred[v]) for v in order}
 
-    # Deterministic topological order via a heap keyed on vertex kind/index.
-    indeg = {v: len(pred[v]) for v in order}
-    heap = [(v.sort_key(), v) for v in order if indeg[v] == 0]
-    heapq.heapify(heap)
+    # Deterministic topological order: a heap of positions pops the lowest ready one.
+    indeg = [len(p) for p in pred]
+    heap = [v for v in range(len(order)) if not indeg[v]]  # ascending, so a heap
     topo = []
     while heap:
-        _, v = heapq.heappop(heap)
+        v = heapq.heappop(heap)
         topo.append(v)
         for w in succ[v]:
             indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, (w.sort_key(), w))
+            if not indeg[w]:
+                heapq.heappush(heap, w)
 
-    return SemiLattice(g, tuple(components), succ, pred, tuple(order), tuple(topo))
+    return SemiLattice(g, tuple(components), tuple(map(tuple, succ)), tuple(map(tuple, pred)), order, tuple(topo))
 
 
 def count_execution_flows(sl: SemiLattice) -> int:
     """Exact number of start-to-finish paths, summed over components."""
-    paths = {}
+    paths = [0] * len(sl.order)
     for v in reversed(sl.topo):
-        if v.is_virtual_bottom:
-            paths[v] = 1
-        else:
-            paths[v] = sum(paths[w] for w in sl.succ[v])
+        # only virtual bottoms have no successors
+        paths[v] = sum(paths[w] for w in sl.succ[v]) if sl.succ[v] else 1
     return sum(paths[c.top] for c in sl.components)
 
 
@@ -288,61 +268,64 @@ def execution_flows(sl: SemiLattice, cap: int = DEFAULT_FLOW_CAP) -> list:
             if w is None:
                 pending.pop()
                 path.pop()
-            elif w.is_virtual_bottom:
-                flows.append(ExecutionFlow((*path, w), ci))
+            elif w == comp.bottom:
+                flows.append(ExecutionFlow(tuple(sl.order[v] for v in (*path, w)), ci))
             else:
                 path.append(w)
                 pending.append(iter(sl.succ[w]))
     return flows
 
 
-def flow_predecessors(sl: SemiLattice, a: AlgorithmId) -> set:
-    """Real vertices that precede ``a`` in at least one execution flow.
+def flow_predecessors(sl: SemiLattice, r: int) -> list:
+    """Positions of the real vertices that precede position ``r`` in at
+    least one execution flow, ascending.
 
-    Equals the set of real ancestors of ``a`` in the lifted graph: any
-    ancestor extends upward to the component's start and ``a`` always
-    reaches the finish, so some flow passes through both.
+    Equals the real ancestors of ``r`` in the lifted graph: any ancestor
+    extends upward to the component's start and ``r`` always reaches the
+    finish, so some flow passes through both.
     """
-    if a not in sl.position:
-        raise UnknownVertex(f"vertex {a} not in lattice")
-    out = set()
-    frontier = [a]
-    seen = {a}
+    if not 0 <= r < len(sl.order):
+        raise UnknownVertex(f"position {r} not in lattice")
+    seen = set(sl.pred[r])
+    frontier = list(seen)
     while frontier:
-        v = frontier.pop()
-        for w in sl.pred[v]:
+        for w in sl.pred[frontier.pop()]:
             if w not in seen:
                 seen.add(w)
-                if not w.is_virtual:
-                    out.add(w)
                 frontier.append(w)
-    return out
+    return sorted(seen.intersection(sl.reals))
 
 
 def max_flow_length(sl: SemiLattice) -> int:
     """Edge count of the longest execution flow (0 for an empty lattice)."""
-    dist = {}
-    best = 0
+    dist = [0] * len(sl.order)
     for v in sl.topo:
         dist[v] = max((dist[u] + 1 for u in sl.pred[v]), default=0)
-        if v.is_virtual_bottom:
-            best = max(best, dist[v])
-    return best
+    return max((dist[c.bottom] for c in sl.components), default=0)
 
 
-def flow_critical_cost(sl: SemiLattice, vertex_cost=None, edge_cost=None) -> float:
+def flow_critical_cost(sl: SemiLattice, vertex_cost=None, edge_cost=None):
     """Maximum over execution flows of the summed vertex and edge costs.
 
     Computed exactly by longest-path dynamic programming over the lifted
-    DAG, so it never enumerates flows.  Cost callables default to zero.
+    DAG, so it never enumerates flows.  ``vertex_cost`` holds one cost per
+    position, or one row of k costs per position: then k cost assignments
+    are solved in one pass and an array of k results comes back, each
+    column bit for bit its own one-vector result (every column repeats
+    ``base + max(incoming)``).  ``edge_cost(u, v)`` takes positions.  Both
+    default to zero.
     """
+    cost = np.zeros(len(sl.order)) if vertex_cost is None else np.asarray(vertex_cost, dtype=float)
     if not sl.components:
-        return 0.0
-    vcost = vertex_cost or (lambda v: 0.0)
-    ecost = edge_cost or (lambda u, v: 0.0)
-    dist = {}
-    for v in sl.topo:
-        base = vcost(v)
-        incoming = [dist[u] + ecost(u, v) for u in sl.pred[v]]
-        dist[v] = base + (max(incoming) if incoming else 0.0)
-    return max(dist[c.bottom] for c in sl.components)
+        return np.zeros(cost.shape[1:]) if cost.ndim > 1 else 0.0
+    column = (-1,) + (1,) * (cost.ndim - 1)  # edge costs broadcast over the k columns
+    dist = np.empty_like(cost)
+    with np.errstate(over="ignore"):  # an overflow gives inf, as float arithmetic does
+        for v in sl.topo:
+            preds = list(sl.pred[v])
+            incoming = dist[preds]
+            if edge_cost is not None and preds:
+                incoming = incoming + np.reshape([edge_cost(u, v) for u in preds], column)
+            dist[v] = cost[v] + (incoming.max(axis=0) if preds else 0.0)
+    best = dist[[c.bottom for c in sl.components]].max(axis=0)
+    return best if cost.ndim > 1 else float(best)

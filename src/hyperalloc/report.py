@@ -106,7 +106,7 @@ def _jsonl(report: RunReport) -> str:
             entry = {
                 "node": c.node,
                 "idx": c.node_idx,
-                "scores": {s.value: v for s, v in c.scores.items()},
+                "scores": c.scores,  # Subspace is a str enum: json writes its keys as their values
                 "combined": c.combined,
                 "admissible": c.admissible,
                 "exclusion": c.exclusion,

@@ -14,6 +14,8 @@ import gc
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .allocator import allocate, commit_decision
 from .delays import ExponentialDelay, substream
 from .errors import HyperallocError
@@ -89,6 +91,7 @@ class _Engine:
         self.warnings = []
         self._late = set()  # (task, node) pairs already warned about their deadline
         self._durations = {}
+        self._exec_costs = {}  # task -> {node label: critical-path execution time}
         self._tables = {}  # task -> (candidate rows by node index, row positions to redraw)
 
     def capability_state(self, task_id: str):
@@ -172,23 +175,29 @@ class _Engine:
         cached = self._durations.get(key)
         if cached is not None:
             return cached
-        spec = self.sc.tasks[task_id]
-        row = spec.exec_times[label]
-        exec_cost = flow_critical_cost(
-            self.lattices[task_id],
-            vertex_cost=lambda v: 0.0 if v.is_virtual else float(row[v.index - 1]),
-        )
+        exec_costs = self._exec_costs.get(task_id)
+        if exec_costs is None:
+            exec_costs = self._exec_costs[task_id] = self._critical_exec_costs(task_id)
         comm = 0.0
         for dst in self.profile.targets(task_id, label):
             value, _ = com_t_pair(self.net, self.profile, task_id, label, dst, "expected")
             comm += value
-        total = exec_cost + comm
-        if not total > 0:
+        total = exec_costs[label] + comm
+        if not 0 < total < math.inf:
             raise EngineError(
-                f"task {task_id} on {label}: busy time must be positive, got {total}"
+                f"task {task_id} on {label}: busy time must be positive and finite, got {total}"
             )
         self._durations[key] = total
         return total
+
+    def _critical_exec_costs(self, task_id: str) -> dict:
+        """Worst-flow execution time of a task on every node with an exec row, in one pass."""
+        spec = self.sc.tasks[task_id]
+        sl = self.lattices[task_id]
+        labels = [label for label in self.labels if label in spec.exec_times]
+        cost = np.zeros((len(sl.order), len(labels)))
+        cost[sl.reals.start : sl.reals.stop] = np.transpose([spec.exec_times[label] for label in labels])
+        return dict(zip(labels, flow_critical_cost(sl, cost).tolist()))
 
     def rescorer(self):
         # no shifted end exceeds an infinite deadline, so only finite ones are tested

@@ -287,6 +287,9 @@ class _Parser:
             if len(tokens) != 3 or set(params) != {"a", "b"}:
                 self.bad(line_no, 1, "expected: window a=<time> b=<time|inf>")
                 return
+            if ("window", task.task_id) in self.where:
+                self.bad(line_no, 1, f"duplicate window for task {task.task_id}", "duplicate")
+                return
             try:
                 a = _parse_number(params["a"])
                 b = _parse_number(params["b"], allow_inf=True)
@@ -297,6 +300,7 @@ class _Parser:
                 self.bad(line_no, 1, "window needs 0 <= a <= b")
                 return
             task.window = (a, b)
+            self.where[("window", task.task_id)] = line_no
         elif name == "vertices":
             if task.labels:
                 self.bad(line_no, 1, "vertices already declared for this task", "duplicate")
@@ -313,6 +317,10 @@ class _Parser:
             if len(tokens) != 4 or tokens[2] != "->":
                 self.bad(line_no, 1, "expected: edge <from> -> <to>")
                 return
+            if ("edge", task.task_id, tokens[1], tokens[3]) in self.where:
+                self.bad(line_no, _col(raw, tokens[1]), f"duplicate edge {tokens[1]} -> {tokens[3]}", "duplicate")
+                return
+            self.where[("edge", task.task_id, tokens[1], tokens[3])] = line_no
             task.edges.append((tokens[1], tokens[3], line_no, _col(raw, tokens[1])))
         elif name == "exec":
             if len(tokens) < 3:
@@ -335,6 +343,9 @@ class _Parser:
         elif name == "assign":
             if len(tokens) != 3:
                 self.bad(line_no, 1, "expected: assign <vertex> <node>")
+                return
+            if ("assign", task.task_id, tokens[1]) in self.where:
+                self.bad(line_no, _col(raw, tokens[1]), f"duplicate assignment for vertex {tokens[1]}", "duplicate")
                 return
             task.assignment[tokens[1]] = tokens[2]
             self.where[("assign", task.task_id, tokens[1])] = line_no

@@ -107,19 +107,18 @@ def cmpt_score(table: CompatibilityTable, task, node) -> SubspaceScore:
 class CapabilityState:
     """Probability dynamics for one task's algorithms over the nodes.
 
-    Rows follow the lifted vertex order of the task's flow lattice
-    (virtual starts, real algorithms ascending, virtual finishes);
-    columns follow node index order.  ``normalizers`` records the row
-    normalisation constant applied at initialisation.  ``pred_index`` row
-    r lists row r's flow-predecessor rows ascending, right-padded with the
-    sentinel ``len(pi)``.
+    Rows are the positions of the task's flow lattice (virtual starts,
+    real algorithms ascending, virtual finishes); columns follow node
+    index order.  ``normalizers`` records the row normalisation constant
+    applied at initialisation.  ``pred_index`` row r lists row r's
+    flow-predecessor rows ascending, right-padded with the sentinel
+    ``len(pi)``.
     """
 
     def __init__(self, sl, nodes, pi, capital, capable, exec_times, pr, normalizers, pred_index, ct, step):
         self.sl = sl
         self.nodes = nodes
         self.col_index = {label: i for i, label in enumerate(nodes)}
-        self.row_index = dict(sl.position)
         self.pi = pi
         self.capital = capital
         self.capable = capable
@@ -132,8 +131,8 @@ class CapabilityState:
         self.iterations = 0
         self.converged = None
         if len(sl.components) == 1:
-            self.top_row = sl.position[sl.components[0].top]
-            self.bottom_row = sl.position[sl.components[0].bottom]
+            self.top_row = sl.components[0].top
+            self.bottom_row = sl.components[0].bottom
         else:
             self.top_row = None
             self.bottom_row = None
@@ -167,12 +166,13 @@ def pi_init(
     real algorithm, index order); virtual vertices execute in zero time.
     ``incapable`` lists (node label, algorithm index) pairs whose entries
     are pinned to zero.  ``assignment`` optionally fixes the host node of
-    real algorithms for the predecessor round-trip totals; unassigned
-    predecessors fall back to the most likely node of their own already
-    initialised row (rows are filled one topological level at a time, so
-    predecessor rows always exist).  ``a1_override``/``a2_override`` map
-    a vertex to a replacement factor (scalar or per-node vector) and exist
-    so callers can reproduce externally supplied factors exactly.
+    real algorithms (keyed by :class:`AlgorithmId`) for the predecessor
+    round-trip totals; unassigned predecessors fall back to the most
+    likely node of their own already initialised row (rows are filled one
+    topological level at a time, so predecessor rows always exist).
+    ``a1_override``/``a2_override`` map a lattice position to a
+    replacement factor (scalar or per-node vector) and exist so callers
+    can reproduce externally supplied factors exactly.
 
     Without a network model all round-trip totals are zero and the
     second factor degenerates to one.
@@ -187,8 +187,6 @@ def pi_init(
     n_rows = len(rows)
     n_real = sl.base.vertex_count
 
-    real_rows = [sl.position[v] for v in rows if not v.is_virtual]
-    real_index = [v.index - 1 for v in rows if not v.is_virtual]
     et = np.zeros((n_rows, n_nodes))
     for c, label in enumerate(nodes):
         if label not in exec_times:
@@ -200,7 +198,7 @@ def pi_init(
             )
         if (row < 0).any():
             raise ValueError(f"execution times must be non-negative ({label})")
-        et[real_rows, c] = row[real_index]
+        et[sl.reals.start : sl.reals.stop, c] = row
 
     capable = np.ones((n_rows, n_nodes), dtype=bool)
     for label, index in incapable:
@@ -231,7 +229,7 @@ def pi_init(
                 raise ValueError(f"assignment references unknown node {label}")
             fixed[sl.position[vid]] = nodes.index(label)
 
-    pred_rows = tuple(tuple(sorted(sl.position[p] for p in flow_predecessors(sl, v))) for v in rows)
+    pred_rows = [flow_predecessors(sl, r) for r in range(n_rows)]
     width = np.array([len(preds) for preds in pred_rows], dtype=np.intp)
     pred_index = np.full((n_rows, width.max(initial=0)), n_rows, dtype=np.intp)
     for r, preds in enumerate(pred_rows):
@@ -241,8 +239,7 @@ def pi_init(
     # above those of all its flow predecessors, whose hosts are then known.
     depth = [0] * n_rows
     levels = []
-    for v in sl.topo:
-        r = sl.position[v]
+    for r in sl.topo:
         depth[r] = 1 + max((depth[p] for p in pred_rows[r]), default=-1)
         if depth[r] == len(levels):
             levels.append([])
@@ -251,12 +248,10 @@ def pi_init(
     a1 = _attenuation(et)
     a1_override = a1_override or {}
     a2_override = a2_override or {}
-    for v in rows:
-        if v in a1_override:
-            a1[sl.position[v]] = _as_factor(a1_override[v], n_nodes, "a1")
-    a2_rows = {
-        sl.position[v]: _as_factor(a2_override[v], n_nodes, "a2") for v in rows if v in a2_override
-    }
+    for r in range(n_rows):
+        if r in a1_override:
+            a1[r] = _as_factor(a1_override[r], n_nodes, "a1")
+    a2_rows = {r: _as_factor(a2_override[r], n_nodes, "a2") for r in range(n_rows) if r in a2_override}
 
     host = fixed.copy()
     pi = np.zeros((n_rows, n_nodes))
@@ -279,8 +274,8 @@ def pi_init(
     # order is the one a row-by-row fill would have stopped at.
     empty = mass <= 0
     if empty.any():
-        v = next(v for v in sl.topo if empty[sl.position[v]])
-        raise DegenerateRow(f"row for {v} has no positive mass")
+        r = next(r for r in sl.topo if empty[r])
+        raise DegenerateRow(f"row for {rows[r]} has no positive mass")
     normalizers = 1.0 / mass
 
     pr = np.divide(1.0, et, out=np.zeros_like(et), where=et > 0)
@@ -438,7 +433,7 @@ def combine_values(values) -> float:
     return math.prod(values, start=1.0)
 
 
-def overall_comm_bound(state: CapabilityState, dt, sl: SemiLattice = None) -> float:
+def overall_comm_bound(state: CapabilityState, dt) -> float:
     """Worst-flow data transmission total for the most likely allocation.
 
     Every real vertex is pinned to its running-maximum node (lowest index
@@ -447,19 +442,17 @@ def overall_comm_bound(state: CapabilityState, dt, sl: SemiLattice = None) -> fl
     vertices cost nothing.  The result is the exact maximum over
     execution flows, computed by longest-path dynamic programming.
     """
-    sl = sl or state.sl
+    sl = state.sl
     dt = np.asarray(dt, dtype=float)
     n_nodes = len(state.nodes)
     if dt.shape != (n_nodes, n_nodes):
         raise ValueError(f"dt must be {n_nodes}x{n_nodes}, got {dt.shape}")
-    if sl.base.vertex_count == 0:
-        return 0.0
 
     host = np.argmax(state.capital, axis=1)
 
     def edge_cost(u, v):
-        if u.is_virtual or v.is_virtual:
-            return 0.0
-        return float(dt[host[sl.position[u]], host[sl.position[v]]])
+        if u in sl.reals and v in sl.reals:
+            return float(dt[host[u], host[v]])
+        return 0.0
 
     return flow_critical_cost(sl, edge_cost=edge_cost)

@@ -7,6 +7,7 @@ library bug is unlikely to be mirrored here.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -102,6 +103,71 @@ def lifted_order(n, edges):
     return tops + list(range(1, n + 1)) + bots
 
 
+def _lifted_pred(succ):
+    pred = {v: [] for v in succ}
+    for v, children in succ.items():
+        for w in children:
+            pred[w].append(v)
+    return pred
+
+
+def _kind_key(v):
+    """Starts, then reals, then finishes, each by ascending number."""
+    if isinstance(v, int):
+        return (1, v)
+    return (0 if v.startswith("top") else 2, int(v[3:]))
+
+
+def lifted_topo(n, edges):
+    """Topological order of the lifted graph: a heap pops the ready vertex
+    with the lowest (kind, index) key first."""
+    _, succ, _, _ = lift(n, edges)
+    indeg = {v: len(p) for v, p in _lifted_pred(succ).items()}
+    heap = [(_kind_key(v), v) for v in succ if indeg[v] == 0]
+    heapq.heapify(heap)
+    topo = []
+    while heap:
+        _, v = heapq.heappop(heap)
+        topo.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(heap, (_kind_key(w), w))
+    return topo
+
+
+def lifted_ancestors(n, edges):
+    """Per lifted vertex in ``lifted_order``, the ``lifted_order`` positions
+    of its real ancestors, ascending, found by a breadth-first search."""
+    _, succ, _, _ = lift(n, edges)
+    pred = _lifted_pred(succ)
+    order = lifted_order(n, edges)
+    position = {v: i for i, v in enumerate(order)}
+    rows = []
+    for v in order:
+        seen, frontier = set(), [v]
+        while frontier:
+            for w in pred[frontier.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        rows.append(sorted(position[w] for w in seen if isinstance(w, int)))
+    return rows
+
+
+def critical_cost(n, edges, cost):
+    """Worst-flow summed vertex cost, one vertex at a time in ``lifted_topo``
+    order: ``cost(i)`` for real vertex i, zero for virtual ones."""
+    _, succ, _, bots = lift(n, edges)
+    pred = _lifted_pred(succ)
+    dist = {}
+    for v in lifted_topo(n, edges):
+        base = float(cost(v)) if isinstance(v, int) else 0.0
+        incoming = [dist[u] for u in pred[v]]
+        dist[v] = base + (max(incoming) if incoming else 0.0)
+    return max((dist[b] for b in bots), default=0.0)
+
+
 # --------------------------------------------------------------- routing
 
 
@@ -181,7 +247,7 @@ def schedule_impact_full(schedule, task, duration, arrival, window=(0.0, math.in
     busy_end = max((e.t_e for e in schedule if e.t_s < arrival), default=0.0)
     start = max(earliest, busy_end)
     end = start + duration
-    if end > hi:
+    if end > hi or end == math.inf:
         raise WindowViolation(f"task {task} would end at {end}, after deadline {hi}")
 
     report = FullImpact(node=node, start=start, end=end)
@@ -194,6 +260,8 @@ def schedule_impact_full(schedule, task, duration, arrival, window=(0.0, math.in
             report.affected.append((i + 1, entry.t_s, new_start))
             report.shifts.append((i + 1, entry, new_start))
             frontier = new_start + entry.duration
+            if frontier == math.inf:
+                raise WindowViolation(f"task {task} would shift an entry to end at infinity")
         else:
             frontier = entry.t_e
     return report
@@ -363,17 +431,11 @@ def random_network(rng, max_nodes=6):
 
 
 def ancestor_rows(sl):
-    """Per lattice row, the rows of its real flow ancestors, ascending."""
-    rows = []
-    for v in sl.order:
-        seen, frontier = set(), [v]
-        while frontier:
-            for w in sl.pred[frontier.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        rows.append(sorted(sl.position[w] for w in seen if not w.is_virtual))
-    return rows
+    """Per lattice row, the rows of its real flow ancestors, ascending,
+    from the edge list of the lattice's input graph."""
+    g = sl.base
+    edges = [(a, b) for a in range(1, g.vertex_count + 1) for b in g.succ[a]]
+    return lifted_ancestors(g.vertex_count, edges)
 
 
 def predecessor_rows(state):
@@ -415,12 +477,12 @@ def pi_init_rows(sl, nodes, exec_times, incapable=(), net=None, assignment=None,
 
     pi = np.zeros((n_rows, n_nodes))
     normalizers = np.zeros(n_rows)
-    for v in sl.topo:
-        r = sl.position[v]
+    for r in sl.topo:
+        v = sl.order[r]
         total = et[r].sum()
         a1 = np.where(et[r] != 0, 1.0 - et[r] / total, 1.0) if total > 0 else np.ones(n_nodes)
-        if v in (a1_override or {}):
-            a1 = factor(a1_override[v])
+        if r in (a1_override or {}):
+            a1 = factor(a1_override[r])
         kappa = np.zeros(n_nodes)
         for p in preds[r]:
             col = host_col.get(p)
@@ -429,8 +491,8 @@ def pi_init_rows(sl, nodes, exec_times, incapable=(), net=None, assignment=None,
             kappa += ct[:, col]
         total = kappa.sum()
         a2 = np.where(kappa != 0, 1.0 - kappa / total, 1.0) if total > 0 else np.ones(n_nodes)
-        if v in (a2_override or {}):
-            a2 = factor(a2_override[v])
+        if r in (a2_override or {}):
+            a2 = factor(a2_override[r])
         raw = a1 * a2 * capable[r]
         mass = raw.sum()
         if mass <= 0:

@@ -190,7 +190,7 @@ def test_07_dynamics_invariants():
             state = pi_init(sl, labels, exec_times, incapable=incapable)
             by_index = {a.index: a for a in sl.order if not a.is_virtual}
             pinned = [
-                (state.row_index[by_index[v]], state.col_index[label])
+                (state.sl.position[by_index[v]], state.col_index[label])
                 for label, v in incapable
             ]
             previous = state.capital.copy()

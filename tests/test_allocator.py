@@ -96,6 +96,18 @@ def test_window_violation_raises():
         schedule_impact(schedule, "t", 4.0, arrival=2.0, window=(0.0, 8.0))
 
 
+def test_cascade_past_the_largest_finite_time_is_a_window_violation():
+    schedule = entries(("a", 1.0, 1e308, 1.0), ("b", 1e308, 1.7e308, 1.0))
+    # the new slot ends at 1e307, but b, pushed to 1.1e308, would end beyond it
+    with pytest.raises(WindowViolation):
+        schedule_impact(schedule, "t", 1e307, arrival=0.0)
+    with pytest.raises(WindowViolation):
+        schedule_impact_full(schedule, "t", 1e307, arrival=0.0)
+    assert schedule_impact(schedule, "t", 1e306, arrival=0.0).new_starts == [1e306, 1e306 + (1e308 - 1.0)]
+    with pytest.raises(WindowViolation):
+        schedule_impact([], "t", 1e308, arrival=1e308)  # the new slot itself ends at inf
+
+
 def test_duration_must_be_positive():
     with pytest.raises(ValueError):
         schedule_impact([], "t", 0.0, arrival=0.0)

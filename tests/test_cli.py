@@ -204,6 +204,43 @@ def test_engine_error_exits_2(capsys, tmp_path):
     assert code == 2 and "busy time" in err
 
 
+def overflowing(tmp_path, *replacements):
+    scn = tmp_path / "overflow.scn"
+    text = (SCENARIO_DIR / "minimal.scn").read_text(encoding="utf-8")
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new)
+    scn.write_text(text, encoding="utf-8")
+    return str(scn)
+
+
+def test_busy_time_overflow_exits_2(capsys, tmp_path):
+    scn = overflowing(
+        tmp_path,
+        ("vertices V1", "vertices V1 V2\nedge V1 -> V2"),
+        ("exec N1 3.0", "exec N1 1e308 1e308"),
+        ("arrive t=0.0 task=T1", "arrive t=0.0 task=T1\n" * 3),
+    )
+    code, out, err = invoke(capsys, "allocate", "--scenario", scn, "--format", "jsonl")
+    assert code == 2 and out == ""
+    assert err == "error: task T1 on N1: busy time must be positive and finite, got inf\n"
+
+
+def test_slot_ending_at_infinity_is_a_window_violation(capsys, tmp_path):
+    scn = overflowing(
+        tmp_path,
+        ("exec N1 3.0", "exec N1 1e308"),
+        ("arrive t=0.0 task=T1", "arrive t=1e308 task=T1\n" * 2),
+    )
+    code, out, err = invoke(capsys, "allocate", "--scenario", scn, "--format", "jsonl")
+    assert code == 0 and err == ""
+    records = [json.loads(line) for line in out.splitlines()]
+    decisions = [r for r in records if r["record"] == "decision"]
+    assert [(d["chosen"], d["rationale"]) for d in decisions] == [(None, "no-capable-node")] * 2
+    assert all(c["exclusion"] == "window-violation" for d in decisions for c in d["candidates"])
+    assert [r["entries"] for r in records if r["record"] == "schedule"] == [[]]
+
+
 @pytest.mark.parametrize("what", ["flows", "pi", "routes"])
 def test_inspect_emits_json(capsys, what):
     code, out, err = invoke(

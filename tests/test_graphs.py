@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from hyperalloc.graphs import (
@@ -8,6 +9,7 @@ from hyperalloc.graphs import (
     FlowExplosion,
     GraphError,
     IndexOutOfRange,
+    UnknownVertex,
     algorithm,
     build_graph,
     count_execution_flows,
@@ -18,7 +20,14 @@ from hyperalloc.graphs import (
     to_semilattice,
 )
 
-from _oracles import enumerate_flows, lifted_order, random_dag
+from _oracles import (
+    critical_cost,
+    enumerate_flows,
+    lifted_ancestors,
+    lifted_order,
+    lifted_topo,
+    random_dag,
+)
 
 EDGES = [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (5, 7), (6, 8), (7, 8)]
 
@@ -56,26 +65,25 @@ def test_algorithm_ids_order_and_render():
     bottom = AlgorithmId(1, is_virtual_bottom=True)
     assert str(top) == "start1"
     assert str(bottom) == "finish1"
-    assert sorted([bottom, a, top], key=lambda v: v.sort_key()) == [top, a, bottom]
 
 
 def test_semilattice_structure_single_component():
     sl = reference_lattice()
     assert len(sl.components) == 1
     comp = sl.components[0]
-    assert sl.succ[comp.top] == (algorithm(1),)
-    assert sl.pred[comp.bottom] == (algorithm(8),)
+    assert sl.succ[comp.top] == (sl.position[algorithm(1)],)
+    assert sl.pred[comp.bottom] == (sl.position[algorithm(8)],)
     # order: virtual top, reals ascending, virtual bottom
-    assert sl.order[0] == comp.top
-    assert sl.order[-1] == comp.bottom
+    assert comp.top == 0 and sl.order[0] == AlgorithmId(1, is_virtual_top=True)
+    assert comp.bottom == len(sl.order) - 1 and sl.order[-1] == AlgorithmId(1, is_virtual_bottom=True)
     assert [v.index for v in sl.order[1:-1]] == list(range(1, 9))
 
 
 def test_semilattice_two_components():
     sl = to_semilattice(build_graph(4, [(1, 2), (3, 4)]))
     assert len(sl.components) == 2
-    assert sorted(v.index for v in sl.components[0].members) == [1, 2]
-    assert sorted(v.index for v in sl.components[1].members) == [3, 4]
+    assert sorted(sl.order[r].index for r in sl.components[0].members) == [1, 2]
+    assert sorted(sl.order[r].index for r in sl.components[1].members) == [3, 4]
     flows = execution_flows(sl)
     assert [real_path(f) for f in flows] == [(1, 2), (3, 4)]
 
@@ -97,8 +105,8 @@ def test_long_chain_enumerates_without_recursion():
     sl = to_semilattice(build_graph(n, [(v, v + 1) for v in range(1, n)]))
     flows = execution_flows(sl)
     assert len(flows) == 1
-    assert flows[0].vertices[0] == sl.components[0].top
-    assert flows[0].vertices[-1] == sl.components[0].bottom
+    assert flows[0].vertices[0] == sl.order[sl.components[0].top]
+    assert flows[0].vertices[-1] == sl.order[sl.components[0].bottom]
     assert real_path(flows[0]) == tuple(range(1, n + 1))
 
 
@@ -123,10 +131,12 @@ def test_flow_cap_checked_before_enumeration():
 
 def test_flow_predecessors_are_flow_ancestors():
     sl = reference_lattice()
-    assert {v.index for v in flow_predecessors(sl, algorithm(4))} == {1, 2, 3}
-    assert flow_predecessors(sl, algorithm(1)) == set()
+    assert flow_predecessors(sl, sl.position[algorithm(4)]) == [sl.position[algorithm(i)] for i in (1, 2, 3)]
+    assert flow_predecessors(sl, sl.position[algorithm(1)]) == []
     bottom = sl.components[0].bottom
-    assert {v.index for v in flow_predecessors(sl, bottom)} == set(range(1, 9))
+    assert flow_predecessors(sl, bottom) == list(sl.reals)
+    with pytest.raises(UnknownVertex):
+        flow_predecessors(sl, len(sl.order))
 
 
 def test_lifted_order_matches_reference():
@@ -149,9 +159,7 @@ def test_lifted_order_matches_reference():
 def test_flow_critical_cost_vertex_and_edge():
     sl = reference_lattice()
     row = {1: 2, 2: 6, 3: 4, 4: 2, 5: 6, 6: 4, 7: 2, 8: 6}
-    cost = flow_critical_cost(
-        sl, vertex_cost=lambda v: 0 if v.is_virtual else row[v.index]
-    )
+    cost = flow_critical_cost(sl, [0 if v.is_virtual else row[v.index] for v in sl.order])
     assert cost == 26  # 2+6+2+6+4+6 along 1-2-4-5-6-8
     hops = flow_critical_cost(sl, edge_cost=lambda u, v: 1)
     assert hops == max_flow_length(sl)
@@ -173,3 +181,40 @@ def test_flows_match_oracle_quick():
         got = [real_path(f) for f in execution_flows(sl)]
         assert got == enumerate_flows(n, edges)
         assert count_execution_flows(sl) == len(got)
+
+
+def oracle_graphs():
+    """Random DAGs (sparse ones split into several components) and the empty graph."""
+    rng = random.Random(808)
+    graphs = [(0, [])]
+    for p in (0.15, 0.35, 0.6):
+        graphs += [random_dag(rng, max_vertices=10, p=p) for _ in range(40)]
+    return graphs
+
+
+def test_topo_and_flow_predecessors_match_oracles():
+    several = 0
+    for n, edges in oracle_graphs():
+        sl = to_semilattice(build_graph(n, edges))
+        several += len(sl.components) > 1
+        order = lifted_order(n, edges)
+        assert list(sl.topo) == [order.index(v) for v in lifted_topo(n, edges)]
+        assert [flow_predecessors(sl, r) for r in range(len(sl.order))] == lifted_ancestors(n, edges)
+    assert several >= 10
+
+
+def test_cost_matrix_columns_match_scalar_oracle():
+    rng = random.Random(809)
+    for n, edges in oracle_graphs():
+        sl = to_semilattice(build_graph(n, edges))
+        rows = [[rng.uniform(0.0, 9.9) for _ in range(n)] for _ in range(4)]  # one per node
+        cost = np.zeros((len(sl.order), len(rows)))
+        cost[sl.reals.start : sl.reals.stop] = np.transpose(rows)
+        got = flow_critical_cost(sl, cost)
+        assert got.shape == (len(rows),)
+        for column, row in zip(got, rows):
+            want = critical_cost(n, edges, lambda i, row=row: row[i - 1])
+            assert np.array_equal(column, want)
+            vector = [0.0 if v.is_virtual else row[v.index - 1] for v in sl.order]
+            scalar = flow_critical_cost(sl, vector)
+            assert type(scalar) is float and scalar == want

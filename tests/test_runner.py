@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import math
 import pathlib
 import random
@@ -10,7 +11,7 @@ import hyperalloc
 from hyperalloc import runner
 from hyperalloc.allocator import MAX_SCORE, NO_CAPABLE_NODE, NON_PERTURBING
 from hyperalloc.delays import ExponentialDelay
-from hyperalloc.network import Link, NetworkModel, RequestProfile
+from hyperalloc.network import Link, NetworkModel, RequestProfile, com_t_pair
 from hyperalloc.report import emit_report
 from hyperalloc.runner import (
     EngineError,
@@ -22,7 +23,7 @@ from hyperalloc.runner import (
 from hyperalloc.scenario import parse_scenario
 from hyperalloc.subspaces import DegenerateRow, Subspace, SubspaceError
 
-from _oracles import oracle_decide, score_per_arrival
+from _oracles import critical_cost, oracle_decide, random_dag, score_per_arrival
 
 
 def strip_overrides(text):
@@ -301,8 +302,9 @@ def varied_scenario(seed, options=""):
         lines.append(line)
         if line.startswith("vertices"):
             lines.append("candidates " + " ".join(rng.sample(labels, rng.randint(3, 10))))
-            # T1's own window line follows and replaces this one
-            lines.append(f"window a=0.0 b={rng.choice((10.0, 20.0, 'inf'))}")
+            window = f"window a=0.0 b={rng.choice((10.0, 20.0, 'inf'))}"
+            if lines[-3] != "[task T1]":  # T1's own window line follows; a second one is rejected
+                lines.append(window)
     lines.append("[overrides]")
     for label in rng.sample(labels, 3):
         lines.append(f"override comm T{rng.randint(1, 3)} {label} {rng.choice(('0', '0.5', 'inf'))}")
@@ -413,6 +415,80 @@ def test_negative_comm_override_fails_at_the_tasks_first_arrival(monkeypatch):
     with pytest.raises(SubspaceError, match="communication score must be >= 0"):
         run(sc)
     assert first > 0 and commits == list(range(first))
+
+
+# ------------------------------------------------------------ durations
+
+
+def dag_scenario(seed):
+    """Five nodes and three tasks on random connected DAGs, with full-precision
+    execution times and requests from each node to three others."""
+    rng = random.Random(seed)
+    labels = [f"N{i}" for i in range(1, 6)]
+    lines = ["[network]"] + [f"node {n} kind={k}" for n, k in zip(labels, ("robot", "robot", "fog", "fog", "cloud"))]
+    lines += [f"link {a} {b} c={rng.uniform(0.1, 4.0)!r} lambda={rng.randint(1, 8)}" for a, b in zip(labels, labels[1:])]
+    lines.append("[profile]")
+    for src in labels:
+        for dst in rng.sample([label for label in labels if label != src], 3):
+            lines.append(f"requests T{rng.randint(1, 3)} {src} {dst} k={rng.randint(1, 3)}")
+    for t in range(1, 4):
+        n, edges = random_dag(rng, max_vertices=9)
+        edges = sorted(set(edges) | {(v, v + 1) for v in range(1, n)})  # a chain connects it
+        lines += [f"[task T{t}]", "vertices " + " ".join(f"V{v}" for v in range(1, n + 1))]
+        lines += [f"edge V{a} -> V{b}" for a, b in edges]
+        for label in labels:
+            lines.append(f"exec {label} " + " ".join(repr(rng.uniform(0.1, 9.9)) for _ in range(n)))
+    lines.append("[arrivals]")
+    lines += [f"arrive t={i * 0.5} task=T{1 + i % 3}" for i in range(9)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["expected", "sample"])
+def test_durations_match_the_per_node_critical_path(monkeypatch, mode):
+    allocate = runner.allocate
+    durations = {}
+
+    def recording(task, arrival, arrival_idx, rows, duration_fn, *rest):
+        durations.update(((task, label), duration_fn(task, label)) for label, _, _, _ in rows)
+        return allocate(task, arrival, arrival_idx, rows, duration_fn, *rest)
+
+    monkeypatch.setattr(runner, "allocate", recording)
+    passes = record_calls(monkeypatch, "flow_critical_cost", lambda sl, cost: cost.shape)
+    for seed in range(4):
+        durations.clear()
+        passes.clear()
+        sc = parse_scenario(dag_scenario(seed))
+        run(sc, mode=mode)
+        net = NetworkModel(sc.nodes, [Link(a, b, c, ExponentialDelay(lam)) for a, b, c, lam in sc.links])
+        profile = RequestProfile(sc.requests)
+        assert len(durations) == 15
+        # one pass per task, over all five nodes; a connected task has one start and one finish
+        assert passes == [(len(spec.labels) + 2, 5) for spec in sc.tasks.values()]
+        for (task, label), got in durations.items():
+            spec = sc.tasks[task]
+            row = spec.exec_times[label]
+            comm = 0.0
+            for dst in profile.targets(task, label):
+                comm += com_t_pair(net, profile, task, label, dst, "expected")[0]
+            want = critical_cost(len(spec.labels), spec.edges, lambda i: row[i - 1]) + comm
+            assert type(got) is float and got.hex() == want.hex()
+
+
+# ------------------------------------------------------ benchmark seams
+
+
+def test_benchmark_probes_reach_every_layer(three_robots):
+    """Every layer the benchmark probes is still called, so a refactor that
+    drops one of its seams fails here and not only in a benchmark run."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "probes.py"
+    spec = importlib.util.spec_from_file_location("perfbench_probes", path)
+    probes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probes)
+    tracer = probes.Tracer()
+    with tracer.installed():
+        run(parse_scenario(strip_overrides(three_robots)), mode="sample")
+    for workload in ("fleet", "backlog", "deepdag"):
+        tracer.require(workload)
 
 
 # ------------------------------------------------ garbage-collector pause

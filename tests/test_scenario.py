@@ -207,6 +207,20 @@ def test_window_validation():
 
 
 @pytest.mark.parametrize(
+    "old, new, issue",
+    [
+        ("exec B 2.0 1.0", "exec B 2.0 1.0\nassign V1 A\nassign V1 B", (12, 8, "duplicate assignment for vertex V1")),
+        ("vertices V1 V2", "window a=0 b=5\nwindow a=0 b=9\nvertices V1 V2", (8, 1, "duplicate window for task T")),
+        ("edge V1 -> V2", "edge V1 -> V2\nedge V1 -> V2", (9, 6, "duplicate edge V1 -> V2")),
+    ],
+)
+def test_repeated_task_directive_is_located(old, new, issue):
+    err = errors_of(MINIMAL.replace(old, new))
+    assert isinstance(err, DuplicateDefinition)
+    assert [(i.line, i.col, i.message) for i in err.issues] == [issue]
+
+
+@pytest.mark.parametrize(
     "old, new, line",
     [
         ("arrive t=0.0", "arrive t=nan", 13),

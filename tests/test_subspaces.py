@@ -116,7 +116,7 @@ def test_bottom_row_matches_round_trip_totals():
 
 def test_first_row_uses_relative_execution_speed():
     state = fixture_state()
-    r = state.row_index[algorithm(1)]
+    r = state.sl.position[algorithm(1)]
     et = np.array([2.0, 2.0, 2.0, 1.0, 0.5])
     a1 = 1.0 - et / et.sum()  # no flow predecessors, so the round-trip factor is 1
     assert np.allclose(state.pi[r], a1 / a1.sum(), atol=1e-12)
@@ -126,7 +126,7 @@ def test_first_row_uses_relative_execution_speed():
 def test_zero_exec_time_gets_full_speed_factor():
     sl = to_semilattice(build_graph(2, [(1, 2)]))
     state = pi_init(sl, ("X", "Y"), {"X": [4.0, 1.0], "Y": [0.0, 1.0]})
-    r = state.row_index[algorithm(1)]
+    r = state.sl.position[algorithm(1)]
     # node Y executes step 1 in no time: its factor is 1, X gets 1 - 4/4 = 0
     assert state.pi[r, 0] == 0.0
     assert state.pi[r, 1] == 1.0
@@ -136,7 +136,7 @@ def test_zero_exec_time_gets_full_speed_factor():
 
 def test_incapable_entries_stay_zero():
     state = fixture_state(incapable=(("R3", 1), ("R3", 8)))
-    r1, r8 = state.row_index[algorithm(1)], state.row_index[algorithm(8)]
+    r1, r8 = state.sl.position[algorithm(1)], state.sl.position[algorithm(8)]
     col = state.col_index["R3"]
     assert state.pi[r1, col] == 0.0 and state.pi[r8, col] == 0.0
     pi_limit(state, tol=1e-12, max_iter=50)
@@ -154,8 +154,8 @@ def test_degenerate_rows_raise():
     # A2 (one level above A1) comes before the lone A3 in topological order,
     # and a row-by-row fill stops at the first row without mass.
     sl3 = to_semilattice(build_graph(3, [(1, 2)]))
-    assert sl3.topo.index(algorithm(2)) < sl3.topo.index(algorithm(3))
-    empty = {algorithm(2): 0.0, algorithm(3): 0.0}
+    assert sl3.topo.index(sl3.position[algorithm(2)]) < sl3.topo.index(sl3.position[algorithm(3)])
+    empty = {sl3.position[algorithm(2)]: 0.0, sl3.position[algorithm(3)]: 0.0}
     with pytest.raises(DegenerateRow, match="row for A2 "):
         pi_init(sl3, ("X", "Y"), {"X": [1, 2, 3], "Y": [3, 2, 1]}, a1_override=empty)
 
@@ -179,7 +179,7 @@ def test_omega_rows_sum_to_zero_and_respect_capability():
     state = fixture_state(incapable=(("R3", 2),))
     omega = omega_update(state)
     assert np.allclose(omega.sum(axis=1), 0.0, atol=1e-15)
-    r2 = state.row_index[algorithm(2)]
+    r2 = state.sl.position[algorithm(2)]
     assert omega[r2, state.col_index["R3"]] == 0.0
     assert omega[state.top_row].sum() == 0.0  # no pull on virtual rows
     assert not omega[state.top_row].any()
@@ -222,7 +222,7 @@ def test_pi_limit_invariants_on_random_states():
             pi_limit(state, tol=1e-30, max_iter=40)
             assert np.allclose(state.pi.sum(axis=1), 1.0, atol=1e-9)
             for label, v in incapable:
-                r = state.row_index[algorithm(v)]
+                r = state.sl.position[algorithm(v)]
                 assert state.pi[r, state.col_index[label]] == 0.0
             assert (state.capital >= previous - 1e-18).all()
             assert (state.capital >= state.pi - 1e-18).all()
@@ -263,7 +263,7 @@ def test_a2_override_reconstructs_given_row():
 def test_capital_pi_and_cplt_score():
     state = fixture_state()
     top = lattice().components[0].top
-    assert state.capital[state.row_index[top], state.col_index["R1"]] == 0.2
+    assert state.capital[top, state.col_index["R1"]] == 0.2
     s = cplt_score(state, "R2")
     assert s.subspace is Subspace.CPLT
     assert abs(s.value - state.capital[state.top_row, 1] * state.capital[state.bottom_row, 1]) < 1e-18
@@ -385,18 +385,19 @@ def init_variants(rng, state):
     """pi_init keyword sets: none, assigned hosts, factor overrides, and
     zero first factors on two rows, which leaves both without mass."""
     reals = [v for v in state.sl.order if not v.is_virtual]
+    positions = range(len(state.sl.order))
     n_nodes = len(state.nodes)
     return [
         {},
         {"assignment": {v: rng.choice(state.nodes) for v in rng.sample(reals, (len(reals) + 1) // 2)}},
         {
-            "a1_override": {rng.choice(state.sl.order): rng.uniform(0.1, 1.0)},
+            "a1_override": {rng.choice(positions): rng.uniform(0.1, 1.0)},
             "a2_override": {
-                v: [rng.uniform(0.1, 1.0) for _ in range(n_nodes)]
-                for v in rng.sample(state.sl.order, 2)
+                r: [rng.uniform(0.1, 1.0) for _ in range(n_nodes)]
+                for r in rng.sample(positions, 2)
             },
         },
-        {"a1_override": {v: 0.0 for v in rng.sample(reals, min(2, len(reals)))}},
+        {"a1_override": {r: 0.0 for r in rng.sample(state.sl.reals, min(2, len(reals)))}},
     ]
 
 
