@@ -4,6 +4,23 @@ The table shows three significant figures; jsonl and csv carry full
 precision (jsonl writes IEEE infinities as ``Infinity``, which standard
 JSON parsers must be told to accept).  All three renderings are pure
 functions of the report, so equal reports give byte-identical output.
+
+jsonl writes one record per candidate per arrival, and most of each
+record repeats: its head (node, index, scores, combined score) comes
+from the runner's per-task candidate table, so in expected mode it is
+the same objects at every arrival of a task.  ``_jsonl`` renders each
+head once and reuses the text, and memoises the text of every other
+value the same way, keyed on object identity (``id``).  An identity key
+is sound only while its object is alive and unchanged: the report holds
+every keyed object for the whole ``emit_report`` call, so within a call
+an equal key means the same objects and so the same text.  Across calls
+an id may name another object, or a scores mapping may have been
+changed, so each call starts with empty memos.  A decision whose first
+candidate brings a scores mapping no earlier decision started with (a
+task's first arrival; every arrival in sample mode, which redraws the
+comm score) is rendered by one ``json.dumps``: its heads would not
+repeat, and json's encoder is then the faster way.  Either way the text
+is what ``json.dumps(..., separators=(",", ":"))`` writes.
 """
 
 from __future__ import annotations
@@ -11,6 +28,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from json.encoder import encode_basestring_ascii as encode_str
+from math import isfinite
 
 from .runner import RunReport
 
@@ -80,12 +99,32 @@ def _table(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dump(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
 def _jsonl(report: RunReport) -> str:
-    def dump(obj) -> str:
-        return json.dumps(obj, separators=(",", ":"))
+    texts = {}  # id(value) -> its JSON text
+
+    def render(value) -> str:
+        """``_dump(value)``, without json's per-call setup for ints, finite
+        floats, strings and str-keyed dicts."""
+        if type(value) is int or (type(value) is float and isfinite(value)):
+            return repr(value)
+        if isinstance(value, str):
+            return encode_str(value)
+        if type(value) is dict and all([isinstance(k, str) for k in value]):
+            return "{%s}" % ",".join([text(k) + ":" + text(v) for k, v in value.items()])
+        return _dump(value)
+
+    def text(value) -> str:
+        out = texts.get(id(value))
+        if out is None:
+            out = texts[id(value)] = render(value)
+        return out
 
     lines = [
-        dump(
+        _dump(
             {
                 "record": "meta",
                 "seed": report.seed,
@@ -100,37 +139,66 @@ def _jsonl(report: RunReport) -> str:
             }
         )
     ]
+    leads = set()  # ids of the scores mappings that started a decision
+    heads = {}  # ids of node, idx, scores, combined -> '{"node":...,"combined":...'
     for d in report.decisions:
-        candidates = []
+        lead = id(d.candidates[0].scores) if d.candidates else None
+        if lead not in leads:
+            leads.add(lead)
+            lines.append(
+                _dump(
+                    {
+                        "record": "decision",
+                        "task": d.task,
+                        "arrival": d.arrival,
+                        "arrival_idx": d.arrival_idx,
+                        "chosen": d.chosen,
+                        "rationale": d.rationale,
+                        "candidates": [
+                            {
+                                "node": c.node,
+                                "idx": c.node_idx,
+                                "scores": c.scores,  # Subspace keys: json writes their str values
+                                "combined": c.combined,
+                                "admissible": c.admissible,
+                                "exclusion": c.exclusion,
+                                "loss": c.loss,
+                                "start": c.impact.start if c.impact else None,
+                                "end": c.impact.end if c.impact else None,
+                            }
+                            for c in d.candidates
+                        ],
+                    }
+                )
+            )
+            continue
+        parts = []
         for c in d.candidates:
-            entry = {
-                "node": c.node,
-                "idx": c.node_idx,
-                "scores": c.scores,  # Subspace is a str enum: json writes its keys as their values
-                "combined": c.combined,
-                "admissible": c.admissible,
-                "exclusion": c.exclusion,
-                "loss": c.loss,
-                "start": c.impact.start if c.impact else None,
-                "end": c.impact.end if c.impact else None,
-            }
-            candidates.append(entry)
+            key = (id(c.node), id(c.node_idx), id(c.scores), id(c.combined))
+            head = heads.get(key)
+            if head is None:
+                head = heads[key] = '{"node":%s,"idx":%s,"scores":%s,"combined":%s' % (
+                    text(c.node), text(c.node_idx), text(c.scores), text(c.combined)
+                )
+            impact = c.impact
+            parts.append(
+                '%s,"admissible":%s,"exclusion":%s,"loss":%s,"start":%s,"end":%s}' % (
+                    head, text(c.admissible), text(c.exclusion), text(c.loss),
+                    text(impact.start) if impact else "null",
+                    # an end is new for nearly every candidate: no memo entry for it
+                    render(impact.end) if impact else "null",
+                )
+            )
         lines.append(
-            dump(
-                {
-                    "record": "decision",
-                    "task": d.task,
-                    "arrival": d.arrival,
-                    "arrival_idx": d.arrival_idx,
-                    "chosen": d.chosen,
-                    "rationale": d.rationale,
-                    "candidates": candidates,
-                }
+            '{"record":"decision","task":%s,"arrival":%s,"arrival_idx":%s,"chosen":%s,'
+            '"rationale":%s,"candidates":[%s]}' % (
+                text(d.task), text(d.arrival), text(d.arrival_idx), text(d.chosen),
+                text(d.rationale), ",".join(parts),
             )
         )
     for node, entries in report.schedules.items():
         lines.append(
-            dump(
+            _dump(
                 {
                     "record": "schedule",
                     "node": node,
@@ -147,7 +215,8 @@ def _jsonl(report: RunReport) -> str:
                 }
             )
         )
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the whole text once more
+    return "\n".join(lines)
 
 
 def _csv(report: RunReport) -> str:

@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import HyperallocError
 from .graphs import GraphError, build_graph, to_semilattice
 from .network import MODES, NODE_KINDS
@@ -353,6 +355,9 @@ class _Parser:
             if len(tokens) != 3:
                 self.bad(line_no, 1, "expected: incapable <node> <vertex>")
                 return
+            if ("incapable", task.task_id, tokens[1], tokens[2]) in self.where:
+                self.bad(line_no, _col(raw, tokens[1]), f"duplicate incapable {tokens[1]} {tokens[2]}", "duplicate")
+                return
             task.incapable.add((tokens[1], tokens[2]))
             self.where[("incapable", task.task_id, tokens[1], tokens[2])] = line_no
         elif name == "candidates":
@@ -495,6 +500,7 @@ class _Parser:
                 self.bad(exec_line, 1, f"exec row references undeclared node {label}", "unresolved")
             if len(row) != len(task.labels):
                 self.bad(exec_line, 1, f"exec row needs {len(task.labels)} values, got {len(row)}")
+        self._check_exec_totals(task)
 
         assignment = {}
         for vertex, node in task.assignment.items():
@@ -531,6 +537,26 @@ class _Parser:
             for label in task.candidates:
                 if label not in nodes:
                     self.bad(cand_line, 1, f"candidates reference undeclared node {label}", "unresolved")
+
+    def _check_exec_totals(self, task):
+        """Capability scoring divides each execution time by its vertex's
+        total over all nodes, so every total must be finite.  The totals
+        are summed as ``pi_init`` sums them: one numpy row per vertex, nodes
+        in network index order.  An infinite total is reported at the last
+        exec row that adds a positive time to it."""
+        if sum(map(sum, task.exec_times.values())) < 1e300:
+            return  # no summation order can overflow
+        order = [label for kind in NODE_KINDS for label, k in self.sc.nodes if k == kind]
+        rows = [task.exec_times.get(label) for label in order]
+        if any(row is None or len(row) != len(task.labels) for row in rows):
+            return  # already reported
+        with np.errstate(over="ignore"):
+            totals = np.array(rows, dtype=float).T.copy().sum(axis=1)
+        declared = [label for label in task.exec_times if label in order]
+        for i in np.flatnonzero(np.isinf(totals)):
+            label = [label for label in declared if task.exec_times[label][i] > 0][-1]
+            line = self.where[("exec", task.task_id, label)]
+            self.bad(line, 1, f"execution times of vertex {task.labels[i]} sum to infinity over nodes")
 
     def _network_connected(self):
         if not self.node_labels:

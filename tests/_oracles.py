@@ -8,6 +8,7 @@ library bug is unlikely to be mirrored here.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -551,3 +552,62 @@ def pi_limit_rows(state, tol, max_iter):
             break
     state.converged = converged
     return state
+
+
+# ---------------------------------------------------------------- report
+
+
+def jsonl_records(report):
+    """The jsonl report's records, one dict per line, built field by field."""
+    records = [
+        {
+            "record": "meta",
+            "seed": report.seed,
+            "mode": report.mode,
+            "subspaces": [s.value for s in report.subspaces],
+            "step": report.step,
+            "tol": report.tol,
+            "max_iter": report.max_iter,
+            "threads": 1,
+            "convergence": report.convergence,
+            "warnings": report.warnings,
+        }
+    ]
+    for d in report.decisions:
+        candidates = [
+            {
+                "node": c.node,
+                "idx": c.node_idx,
+                "scores": c.scores,
+                "combined": c.combined,
+                "admissible": c.admissible,
+                "exclusion": c.exclusion,
+                "loss": c.loss,
+                "start": c.impact.start if c.impact else None,
+                "end": c.impact.end if c.impact else None,
+            }
+            for c in d.candidates
+        ]
+        records.append(
+            {
+                "record": "decision",
+                "task": d.task,
+                "arrival": d.arrival,
+                "arrival_idx": d.arrival_idx,
+                "chosen": d.chosen,
+                "rationale": d.rationale,
+                "candidates": candidates,
+            }
+        )
+    for node, entries in report.schedules.items():
+        entries = [
+            {"task": e.task, "t_s": e.t_s, "t_e": e.t_e, "score": e.score, "forced_idle": e.forced_idle}
+            for e in entries
+        ]
+        records.append({"record": "schedule", "node": node, "entries": entries})
+    return records
+
+
+def jsonl_text(report):
+    """``jsonl_records`` as compact JSON, one record per line."""
+    return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in jsonl_records(report))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -155,6 +156,23 @@ def test_unbounded_request_count_exits_1(capsys, tmp_path):
     assert code == 1 and out == ""
     (line,) = err.splitlines()
     assert line.startswith(f"{bad}: line ") and "request count" in line
+
+
+def test_exec_times_summing_to_infinity_exit_1(capsys, tmp_path):
+    # each time is finite, but their total over nodes overflows capability scoring
+    bad = tmp_path / "bad.scn"
+    bad.write_text(
+        "[network]\nnode A kind=robot\nnode B kind=fog\nlink A B c=1.0 lambda=1.0\n"
+        "[task T]\nvertices V\nexec A 1e308\nexec B 1.5e308\n"
+        "[arrivals]\narrive t=0.0 task=T\n",
+        encoding="utf-8",
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = invoke(capsys, "allocate", "--scenario", str(bad))
+    assert code == 1 and out == "" and caught == []
+    assert "RuntimeWarning" not in err
+    assert err == f"{bad}: line 8, col 1: execution times of vertex V sum to infinity over nodes\n"
 
 
 def test_infinite_tol_is_rejected(capsys, tmp_path):

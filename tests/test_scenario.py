@@ -212,12 +212,54 @@ def test_window_validation():
         ("exec B 2.0 1.0", "exec B 2.0 1.0\nassign V1 A\nassign V1 B", (12, 8, "duplicate assignment for vertex V1")),
         ("vertices V1 V2", "window a=0 b=5\nwindow a=0 b=9\nvertices V1 V2", (8, 1, "duplicate window for task T")),
         ("edge V1 -> V2", "edge V1 -> V2\nedge V1 -> V2", (9, 6, "duplicate edge V1 -> V2")),
+        ("exec B 2.0 1.0", "exec B 2.0 1.0\nincapable A V1\nincapable A V1", (12, 11, "duplicate incapable A V1")),
     ],
 )
 def test_repeated_task_directive_is_located(old, new, issue):
     err = errors_of(MINIMAL.replace(old, new))
     assert isinstance(err, DuplicateDefinition)
     assert [(i.line, i.col, i.message) for i in err.issues] == [issue]
+
+
+@pytest.mark.parametrize(
+    "rows, issue",
+    [
+        ("exec A 1e308 2.0\nexec B 1.5e308 1.0", (10, 1, "execution times of vertex V1 sum to infinity over nodes")),
+        ("exec A 1.0 1e308\nexec B 2.0 1e308", (10, 1, "execution times of vertex V2 sum to infinity over nodes")),
+    ],
+)
+def test_exec_times_summing_to_infinity_are_located(rows, issue):
+    err = errors_of(MINIMAL.replace("exec A 1.0 2.0\nexec B 2.0 1.0", rows))
+    assert isinstance(err, ParseError)
+    assert [(i.line, i.col, i.message) for i in err.issues] == [issue]
+
+
+def test_every_infinite_exec_total_is_located():
+    err = errors_of(MINIMAL.replace("exec A 1.0 2.0\nexec B 2.0 1.0", "exec B 1e308 1e308\nexec A 1e308 1e308"))
+    assert [(i.line, i.col, i.message) for i in err.issues] == [
+        (10, 1, "execution times of vertex V1 sum to infinity over nodes"),
+        (10, 1, "execution times of vertex V2 sum to infinity over nodes"),
+    ]
+
+
+def test_exec_totals_are_summed_in_network_order():
+    # robots come first in network order: (6e291 + 6e291) + max overflows,
+    # although the declaration order (max + 6e291) + 6e291 does not
+    text = (
+        "[network]\nnode A kind=fog\nnode B kind=robot\nnode C kind=robot\n"
+        "link A B c=1.0 lambda=2.0\nlink A C c=1.0 lambda=2.0\n"
+        "[task T]\nvertices V\nexec A 1.7976931348623157e308\nexec B 6e291\nexec C 6e291\n"
+        "[arrivals]\narrive t=0.0 task=T\n"
+    )
+    err = errors_of(text)
+    assert [(i.line, i.col, i.message) for i in err.issues] == [
+        (11, 1, "execution times of vertex V sum to infinity over nodes")
+    ]
+
+
+def test_exec_times_with_a_finite_sum_are_accepted():
+    sc = parse_scenario(MINIMAL.replace("exec A 1.0 2.0\nexec B 2.0 1.0", "exec A 1e308 2.0\nexec B 7e307 1.0"))
+    assert sc.tasks["T"].exec_times == {"A": [1e308, 2.0], "B": [7e307, 1.0]}
 
 
 @pytest.mark.parametrize(
