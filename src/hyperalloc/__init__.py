@@ -53,7 +53,7 @@ from .network import (
     Route,
     Unreachable,
     com_t_max,
-    com_t_pair,
+    comm_delays,
     ict,
     round_trip_matrix,
     shortest_comm_path,

@@ -62,11 +62,9 @@ class ImpactReport:
     one does): ``moved`` from 0-based position ``first``, their
     ``new_starts`` and, after :func:`reallocation_loss`, ``new_scores``,
     ``nv`` (1-based indices of strict score drops) and ``loss``.  A report
-    that displaces nothing shares the empty defaults.  ``affected`` (index,
-    old start, new start), ``shifts`` (index, entry, new start) and
-    ``rescored`` (index, entry, new start, new score) are read-only views
-    with 1-based indices; ``affected`` reads the entries' current starts,
-    so take it before the decision is committed.
+    that displaces nothing shares the empty defaults.  ``affected`` is a
+    read-only view of (1-based index, old start, new start); it reads the
+    entries' current starts, so take it before the decision is committed.
     """
 
     node: str
@@ -80,16 +78,11 @@ class ImpactReport:
     loss: float = 0.0
 
     @property
-    def shifts(self) -> list:
-        return list(zip(count(self.first + 1), self.moved, self.new_starts))
-
-    @property
     def affected(self) -> list:
-        return [(i, entry.t_s, new_start) for i, entry, new_start in self.shifts]
-
-    @property
-    def rescored(self) -> list:
-        return list(zip(count(self.first + 1), self.moved, self.new_starts, self.new_scores))
+        return [
+            (i, entry.t_s, new_start)
+            for i, entry, new_start in zip(count(self.first + 1), self.moved, self.new_starts)
+        ]
 
 
 @dataclass(slots=True)
@@ -149,7 +142,7 @@ def schedule_impact(schedule, task, duration, arrival, window=(0.0, math.inf), n
         if entry.t_s >= frontier:
             break  # the entry keeps its slot, and so does every later one
         new_starts.append(frontier)
-        frontier += entry.duration
+        frontier += entry.t_e - entry.t_s  # the duration, without a property call per shifted entry
     if frontier == math.inf:  # the new slot's end, or the last shifted entry's new end
         raise WindowViolation(f"task {task} would push {node or 'the schedule'} past the largest finite time")
     if new_starts:
@@ -232,7 +225,7 @@ def commit_decision(decision: AllocationDecision, schedules) -> None:
     impact = winner.impact
     schedule = schedules[winner.node]
     for entry, new_start, new_score in zip(impact.moved, impact.new_starts, impact.new_scores):
-        length = entry.duration
+        length = entry.t_e - entry.t_s
         entry.t_s = new_start
         entry.t_e = new_start + length
         entry.score = new_score

@@ -194,45 +194,36 @@ def shortest_comm_path(net: NetworkModel, a: str, b: str) -> Route:
     return route
 
 
-def com_t_pair(net, profile, task, src, dst, mode="expected", rng=None):
-    """Total communication time between src and dst for one task.
+def comm_delays(net, profile, task, src) -> dict:
+    """Round-trip delay distribution from src to each request target of a task.
 
-    Returns ``(value, DelaySum)`` where the sum describes the full
-    distribution: ``2k`` constants per hop plus Erlang(2k, rate) per hop,
-    k being the request count.  ``expected`` mode returns the mean of the
-    sum; ``sample`` mode returns one draw from the caller's generator.
-    Zero requests (or src == dst) cost exactly zero.
+    Maps each target, in node-index order, to the canonical DelaySum of
+    its ``k`` request/response exchanges: ``2k`` constants per hop plus
+    Erlang(2k, rate) per hop.  Requests from src to itself cost nothing
+    and are left out.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    net.node(src)
-    net.node(dst)
-    k = profile.count(task, src, dst)
-    if k == 0 or src == dst:
-        return 0.0, delay_sum()
-    route = shortest_comm_path(net, src, dst)
-    constant = 2 * k * sum(link.constant_time for link in route.links)
-    terms = [ErlangDelay(2 * k, link.delay.rate) for link in route.links]
-    dist = delay_sum(constant, terms)
-    if mode == "expected":
-        return delay_mean(dist), dist
-    if rng is None:
-        raise ValueError("sample mode requires a generator")
-    return sample_delay(dist, rng), dist
+    out = {}
+    for dst in sorted(profile.targets(task, src), key=lambda lbl: net.node(lbl).idx):
+        if dst == src:
+            continue
+        k = profile.count(task, src, dst)
+        links = shortest_comm_path(net, src, dst).links
+        constant = 2 * k * sum(link.constant_time for link in links)
+        out[dst] = delay_sum(constant, [ErlangDelay(2 * k, link.delay.rate) for link in links])
+    return out
 
 
-def com_t_max(net, profile, task, src, mode="expected", rng=None) -> float:
-    """Worst per-target communication total for a task run at src.
+def com_t_max(delays, rng=None) -> float:
+    """Worst per-target communication total of a :func:`comm_delays` table.
 
-    Targets are evaluated in node-index order so that sample mode
-    consumes the generator deterministically.  No targets means no
-    communication: 0.0.
+    Without a generator each target counts with its mean; with one, with
+    one draw, taken target by target in the table's node-index order so
+    that the generator is consumed deterministically.  An empty table
+    means no communication: 0.0.
     """
-    targets = sorted(profile.targets(task, src), key=lambda lbl: net.node(lbl).idx)
     worst = 0.0
-    for dst in targets:
-        value, _ = com_t_pair(net, profile, task, src, dst, mode, rng)
-        worst = max(worst, value)
+    for dist in delays.values():
+        worst = max(worst, delay_mean(dist) if rng is None else sample_delay(dist, rng))
     return worst
 
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import gc
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .allocator import allocate, commit_decision
-from .delays import ExponentialDelay, substream
+from .delays import ExponentialDelay, delay_mean, substream
 from .errors import HyperallocError
 from .graphs import (
     algorithm,
@@ -32,7 +32,7 @@ from .network import (
     NetworkModel,
     RequestProfile,
     com_t_max,
-    com_t_pair,
+    comm_delays,
     ict,
     round_trip_matrix,
     shortest_comm_path,
@@ -91,6 +91,7 @@ class _Engine:
         self.warnings = []
         self._late = set()  # (task, node) pairs already warned about their deadline
         self._durations = {}
+        self._delays = {}  # (task, node) -> comm_delays table
         self._exec_costs = {}  # task -> {node label: critical-path execution time}
         self._tables = {}  # task -> (candidate rows by node index, row positions to redraw)
 
@@ -158,7 +159,7 @@ class _Engine:
         value = self.sc.overrides_comm.get((task_id, label))
         if value is None:
             rng = substream(self.opts.seed, 1, arrival_idx, idx) if self.opts.mode == "sample" else None
-            comt = com_t_max(self.net, self.profile, task_id, label, self.opts.mode, rng)
+            comt = com_t_max(self.delays(task_id, label), rng)
             deadline = self.sc.tasks[task_id].window[1]
             if comt > deadline and (task_id, label) not in self._late:
                 # once per pair: in sample mode later draws would add a line each
@@ -170,6 +171,14 @@ class _Engine:
             value = ict(comt)
         return SubspaceScore(Subspace.COMM, value)
 
+    def delays(self, task_id: str, label: str) -> dict:
+        """The :func:`comm_delays` table of a task run at a node, built once per run."""
+        key = (task_id, label)
+        table = self._delays.get(key)
+        if table is None:
+            table = self._delays[key] = comm_delays(self.net, self.profile, task_id, label)
+        return table
+
     def duration(self, task_id: str, label: str) -> float:
         key = (task_id, label)
         cached = self._durations.get(key)
@@ -178,10 +187,10 @@ class _Engine:
         exec_costs = self._exec_costs.get(task_id)
         if exec_costs is None:
             exec_costs = self._exec_costs[task_id] = self._critical_exec_costs(task_id)
+        delays = self.delays(task_id, label)
         comm = 0.0
-        for dst in self.profile.targets(task_id, label):
-            value, _ = com_t_pair(self.net, self.profile, task_id, label, dst, "expected")
-            comm += value
+        for dst in sorted(delays):  # by label: with 3+ targets another order can round differently
+            comm += delay_mean(delays[dst])
         total = exec_costs[label] + comm
         if not 0 < total < math.inf:
             raise EngineError(
@@ -226,8 +235,10 @@ def run(
 ) -> RunReport:
     """Execute a scenario and return the full decision record.
 
-    Keyword arguments override the scenario's [options] section and are
-    checked by the same rules; equal seeds produce identical reports.
+    Keyword arguments override the scenario's [options] section; every
+    option, overridden or not, is checked by the rules of that section,
+    so a bad value raises ValueError.  Equal seeds produce identical
+    reports.
     Arrivals must be ordered by time (the parser guarantees it for
     scenario text); a Scenario built in code that breaks the order
     raises ValueError.
@@ -236,11 +247,10 @@ def run(
     makes no reference cycles, and restored afterwards, also on error.
     The pause is process-wide: it holds for other threads too.
     """
-    opts = replace(scenario.options)
+    opts = RunOptions()
     overrides = dict(mode=mode, seed=seed, subspaces=subspaces, step=step, tol=tol, max_iter=max_iter)
     for name, value in overrides.items():
-        if value is not None:
-            set_option(opts, name, value)
+        set_option(opts, name, getattr(scenario.options, name) if value is None else value)
     times = [t for t, _ in scenario.arrivals]
     if times != sorted(times):
         raise ValueError("arrivals must be ordered by time")

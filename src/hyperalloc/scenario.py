@@ -223,6 +223,9 @@ class _Parser:
             if c < 0 or lam <= 0:
                 self.bad(line_no, _col(raw, tokens[3]), "need c >= 0 and lambda > 0")
                 return
+            if 2.0 * (c + 1.0 / lam) == math.inf:
+                self.bad(line_no, _col(raw, tokens[3]), "link round trip 2*(c + 1/lambda) overflows to infinity")
+                return
             self.sc.links.append((a, b, c, lam))
             self.where[("link", len(self.sc.links) - 1)] = line_no
         else:

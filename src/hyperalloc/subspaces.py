@@ -109,22 +109,18 @@ class CapabilityState:
 
     Rows are the positions of the task's flow lattice (virtual starts,
     real algorithms ascending, virtual finishes); columns follow node
-    index order.  ``normalizers`` records the row normalisation constant
-    applied at initialisation.  ``pred_index`` row r lists row r's
-    flow-predecessor rows ascending, right-padded with the sentinel
-    ``len(pi)``.
+    index order.  ``pred_index`` row r lists row r's flow-predecessor
+    rows ascending, right-padded with the sentinel ``len(pi)``.
     """
 
-    def __init__(self, sl, nodes, pi, capital, capable, exec_times, pr, normalizers, pred_index, ct, step):
+    def __init__(self, sl, nodes, pi, capital, capable, pr, pred_index, ct, step):
         self.sl = sl
         self.nodes = nodes
         self.col_index = {label: i for i, label in enumerate(nodes)}
         self.pi = pi
         self.capital = capital
         self.capable = capable
-        self.exec_times = exec_times
         self.pr = pr
-        self.normalizers = normalizers
         self.pred_index = pred_index
         self.ct = ct
         self.step = step
@@ -138,17 +134,6 @@ class CapabilityState:
             self.bottom_row = None
 
 
-def _as_factor(value, n_nodes, what):
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(n_nodes, float(arr))
-    if arr.shape != (n_nodes,):
-        raise ValueError(f"{what} override must be a scalar or one value per node")
-    if (arr < 0).any():
-        raise ValueError(f"{what} override must be non-negative")
-    return arr
-
-
 def pi_init(
     sl: SemiLattice,
     nodes,
@@ -156,8 +141,6 @@ def pi_init(
     incapable=(),
     net=None,
     assignment=None,
-    a1_override=None,
-    a2_override=None,
     step: float = 0.1,
 ) -> CapabilityState:
     """Initial allocation-probability matrix for one task.
@@ -170,9 +153,6 @@ def pi_init(
     round-trip totals; unassigned predecessors fall back to the most
     likely node of their own already initialised row (rows are filled one
     topological level at a time, so predecessor rows always exist).
-    ``a1_override``/``a2_override`` map a lattice position to a
-    replacement factor (scalar or per-node vector) and exist so callers
-    can reproduce externally supplied factors exactly.
 
     Without a network model all round-trip totals are zero and the
     second factor degenerates to one.
@@ -235,6 +215,17 @@ def pi_init(
     for r, preds in enumerate(pred_rows):
         pred_index[r, : len(preds)] = preds
 
+    # Any node can come to host a flow predecessor, so no round-trip total
+    # the dynamics reach exceeds ``width`` of a node's largest round trips
+    # added up as ``_denominators`` adds them (float addition is monotone).
+    # That bound, and its sum over nodes, must be finite: a share of an
+    # infinite total would be NaN or zero.
+    with np.errstate(over="ignore"):
+        worst = np.add.accumulate(np.broadcast_to(ct.max(axis=1), (width.max(initial=0), n_nodes)), axis=0)
+        finite = np.isfinite(worst[-1:].sum(axis=1)).all()
+    if not finite:
+        raise SubspaceError("round-trip totals to the hosts of flow predecessors can overflow to infinity")
+
     # Rows are filled one topological level at a time: a row's level lies
     # above those of all its flow predecessors, whose hosts are then known.
     depth = [0] * n_rows
@@ -246,13 +237,6 @@ def pi_init(
         levels[depth[r]].append(r)
 
     a1 = _attenuation(et)
-    a1_override = a1_override or {}
-    a2_override = a2_override or {}
-    for r in range(n_rows):
-        if r in a1_override:
-            a1[r] = _as_factor(a1_override[r], n_nodes, "a1")
-    a2_rows = {r: _as_factor(a2_override[r], n_nodes, "a2") for r in range(n_rows) if r in a2_override}
-
     host = fixed.copy()
     pi = np.zeros((n_rows, n_nodes))
     mass = np.zeros(n_rows)
@@ -261,9 +245,6 @@ def pi_init(
         for level in levels:
             at = np.array(level)
             a2 = _attenuation(_denominators(ct, host, pred_index[at, : width[at].max()]))
-            for i, r in enumerate(level):
-                if r in a2_rows:
-                    a2[i] = a2_rows[r]
             raw = a1[at] * a2 * capable[at]
             total = raw.sum(axis=1, keepdims=True)
             mass[at] = total[:, 0]
@@ -276,22 +257,9 @@ def pi_init(
     if empty.any():
         r = next(r for r in sl.topo if empty[r])
         raise DegenerateRow(f"row for {rows[r]} has no positive mass")
-    normalizers = 1.0 / mass
 
     pr = np.divide(1.0, et, out=np.zeros_like(et), where=et > 0)
-    return CapabilityState(
-        sl,
-        nodes,
-        pi,
-        pi.copy(),
-        capable,
-        et,
-        pr,
-        normalizers,
-        pred_index,
-        ct,
-        step,
-    )
+    return CapabilityState(sl, nodes, pi, pi.copy(), capable, pr, pred_index, ct, step)
 
 
 def _attenuation(x) -> np.ndarray:

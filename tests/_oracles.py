@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hyperalloc.allocator import IDLE_TASK, ScheduleEntry, WindowViolation
-from hyperalloc.delays import substream
+from hyperalloc.delays import ErlangDelay, delay_mean, delay_sum, sample_delay, substream
 from hyperalloc.graphs import AlgorithmId, algorithm, build_graph, to_semilattice
-from hyperalloc.network import com_t_max, ict, round_trip_matrix
+from hyperalloc.network import ict, round_trip_matrix, shortest_comm_path
 from hyperalloc.subspaces import (
     CapabilityState,
     DegenerateRow,
@@ -344,6 +344,33 @@ def oracle_decide(candidates, combined, schedules, arrival, durations, window, r
 # -------------------------------------------------------------- scoring
 
 
+def com_t_pair(net, profile, task, src, dst, rng=None):
+    """Communication total between src and dst for one task, built afresh.
+
+    Returns ``(value, DelaySum)``: ``2k`` constants per hop plus
+    Erlang(2k, rate) per hop, k being the request count; the value is
+    the sum's mean, or one draw from ``rng`` when given.  Zero requests
+    (or src == dst) cost exactly zero and draw nothing.
+    """
+    net.node(src)
+    net.node(dst)
+    k = profile.count(task, src, dst)
+    if k == 0 or src == dst:
+        return 0.0, delay_sum()
+    route = shortest_comm_path(net, src, dst)
+    constant = 2 * k * sum(link.constant_time for link in route.links)
+    dist = delay_sum(constant, [ErlangDelay(2 * k, link.delay.rate) for link in route.links])
+    return (delay_mean(dist) if rng is None else sample_delay(dist, rng)), dist
+
+
+def com_t_worst(net, profile, task, src, rng=None):
+    """Worst :func:`com_t_pair` value over the task's targets from src, in node-index order."""
+    worst = 0.0
+    for dst in sorted(profile.targets(task, src), key=lambda lbl: net.node(lbl).idx):
+        worst = max(worst, com_t_pair(net, profile, task, src, dst, rng)[0])
+    return worst
+
+
 def score_per_arrival(sc, opts, net, profile, states, task_id, arrival_idx):
     """Candidate rows ``(label, idx, scores, combined)`` of one arrival, scored afresh.
 
@@ -378,7 +405,7 @@ def score_per_arrival(sc, opts, net, profile, states, task_id, arrival_idx):
                 scores[subspace] = sc.overrides_comm[(task_id, label)]
             elif subspace is Subspace.COMM:
                 rng = substream(opts.seed, 1, arrival_idx, idx) if opts.mode == "sample" else None
-                scores[subspace] = ict(com_t_max(net, profile, task_id, label, opts.mode, rng))
+                scores[subspace] = ict(com_t_worst(net, profile, task_id, label, rng))
             else:
                 scores[subspace] = cplt_score(states[task_id], label).value
         combined = combine_scores([SubspaceScore(s, v) for s, v in scores.items()])
@@ -444,8 +471,7 @@ def predecessor_rows(state):
     return ancestor_rows(state.sl)
 
 
-def pi_init_rows(sl, nodes, exec_times, incapable=(), net=None, assignment=None,
-                 a1_override=None, a2_override=None, step=0.1):
+def pi_init_rows(sl, nodes, exec_times, incapable=(), net=None, assignment=None, step=0.1):
     """Initial capability state filled one row at a time in topological order.
 
     The per-row form the library's ``pi_init`` must match bit for bit:
@@ -473,17 +499,11 @@ def pi_init_rows(sl, nodes, exec_times, incapable=(), net=None, assignment=None,
     for r, row in enumerate(preds):
         pred_index[r, : len(row)] = row
 
-    def factor(value):
-        return np.broadcast_to(np.asarray(value, dtype=float), (n_nodes,))
-
     pi = np.zeros((n_rows, n_nodes))
-    normalizers = np.zeros(n_rows)
     for r in sl.topo:
         v = sl.order[r]
         total = et[r].sum()
         a1 = np.where(et[r] != 0, 1.0 - et[r] / total, 1.0) if total > 0 else np.ones(n_nodes)
-        if r in (a1_override or {}):
-            a1 = factor(a1_override[r])
         kappa = np.zeros(n_nodes)
         for p in preds[r]:
             col = host_col.get(p)
@@ -492,18 +512,13 @@ def pi_init_rows(sl, nodes, exec_times, incapable=(), net=None, assignment=None,
             kappa += ct[:, col]
         total = kappa.sum()
         a2 = np.where(kappa != 0, 1.0 - kappa / total, 1.0) if total > 0 else np.ones(n_nodes)
-        if r in (a2_override or {}):
-            a2 = factor(a2_override[r])
         raw = a1 * a2 * capable[r]
         mass = raw.sum()
         if mass <= 0:
             raise DegenerateRow(f"row for {v} has no positive mass")
         pi[r] = raw / mass
-        normalizers[r] = 1.0 / mass
     pr = np.divide(1.0, et, out=np.zeros_like(et), where=et > 0)
-    return CapabilityState(
-        sl, nodes, pi, pi.copy(), capable, et, pr, normalizers, pred_index, ct, step
-    )
+    return CapabilityState(sl, nodes, pi, pi.copy(), capable, pr, pred_index, ct, step)
 
 
 def omega_update_rows(state):

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import count
 
 import pytest
 
@@ -20,7 +21,7 @@ from hyperalloc.allocator import (
 )
 from hyperalloc.subspaces import Subspace, SubspaceScore, combine_scores
 
-from _oracles import commit_decision_full, reallocation_loss_full, schedule_impact_full
+from _oracles import FullImpact, commit_decision_full, reallocation_loss_full, schedule_impact_full
 
 
 def entries(*specs):
@@ -132,7 +133,8 @@ def test_reallocation_loss_counts_strict_drops_only():
     assert report.nv == {2, 3}
     assert loss == pytest.approx((0.5 - 0.2) + (0.8 - 0.3))
     assert report.loss == loss
-    assert [(i, ns) for i, _, ns, _ in report.rescored] == [(1, 2.0), (2, 4.0), (3, 6.0)]
+    assert report.first == 0 and report.new_starts == [2.0, 4.0, 6.0]
+    assert report.new_scores == [1.0, 0.2, 0.3]
 
 
 # --------------------------------------------------------- decision rule
@@ -353,20 +355,27 @@ def _late_drop(entry, new_start):
     return 0.0 if entry.forced_idle or new_start > 6.0 else entry.score
 
 
+def _rescored(impact):
+    """(1-based index, entry, new start, new score) per displaced entry."""
+    if isinstance(impact, FullImpact):
+        return impact.rescored
+    return list(zip(count(impact.first + 1), impact.moved, impact.new_starts, impact.new_scores))
+
+
 def _place(impact_fn, loss_fn, commit_fn, schedule, arrival, duration, window, score):
     """Insert one task and commit it; None when the window is violated."""
     try:
         impact = impact_fn(schedule, "t", duration, arrival, window, node="n1")
     except WindowViolation:
         return None
-    assert all(entry is schedule[i - 1] for i, entry, _ in impact.shifts)
     loss_fn(impact, _late_drop)
+    rescored = _rescored(impact)
+    assert all(entry is schedule[i - 1] for i, entry, _, _ in rescored)
     placed = (
         impact.start,
         impact.end,
         list(impact.affected),
-        [(i, new_start) for i, _, new_start in impact.shifts],
-        [(i, new_start, new_score) for i, _, new_start, new_score in impact.rescored],
+        [(i, new_start, new_score) for i, _, new_start, new_score in rescored],
         impact.nv,
         impact.loss,
     )
@@ -454,7 +463,7 @@ def test_gap_absorbs_the_cascade():
     assert report.first == 1 and report.moved == schedule[1:3]
     assert report.new_starts == [2.5, 3.5]
     reallocation_loss(report, keep_score)
-    assert report.rescored == [(2, schedule[1], 2.5, 1.0), (3, schedule[2], 3.5, 1.0)]
+    assert report.new_scores == [1.0, 1.0]
 
 
 def test_report_without_displacement_is_empty():
@@ -464,7 +473,7 @@ def test_report_without_displacement_is_empty():
     ]
     for report in quiet:
         assert reallocation_loss(report, lambda entry, new_start: 0.0) == 0.0
-        assert report.affected == report.shifts == report.rescored == []
+        assert report.affected == [] and not (report.moved or report.new_starts or report.new_scores)
         assert not report.nv and report.loss == 0.0
     # the empty runs are the shared defaults, not one list per report
     assert quiet[0].moved is quiet[1].moved and quiet[0].new_starts is quiet[1].new_starts

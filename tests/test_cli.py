@@ -175,6 +175,39 @@ def test_exec_times_summing_to_infinity_exit_1(capsys, tmp_path):
     assert err == f"{bad}: line 8, col 1: execution times of vertex V sum to infinity over nodes\n"
 
 
+def test_link_round_trip_overflow_exits_1(capsys, tmp_path):
+    # c is finite, but a round trip over the link, 2 * (c + 1/lambda), is not
+    bad = tmp_path / "bad.scn"
+    bad.write_text(
+        "[network]\nnode A kind=robot\nnode B kind=fog\nlink A B c=1e308 lambda=2.0\n"
+        "[task T]\nvertices V1 V2\nedge V1 -> V2\nexec A 1.0 1.0\nexec B 1.0 1.0\n"
+        "[arrivals]\narrive t=0.0 task=T\n",
+        encoding="utf-8",
+    )
+    code, out, err = invoke(capsys, "allocate", "--scenario", str(bad))
+    assert code == 1 and out == ""
+    assert err == f"{bad}: line 4, col 10: link round trip 2*(c + 1/lambda) overflows to infinity\n"
+
+
+def test_round_trip_totals_overflowing_in_capability_scoring_exit_2(capsys, tmp_path):
+    # every round trip is finite (A-C, over two links, is 1.6e308), but V3's
+    # total to the hosts of V1 and V2, both on C, is 3.2e308 from A
+    scn = tmp_path / "overflow.scn"
+    scn.write_text(
+        "[network]\nnode A kind=robot\nnode B kind=fog\nnode C kind=cloud\n"
+        "link A B c=4e307 lambda=2.0\nlink B C c=4e307 lambda=2.0\n"
+        "[task T]\nvertices V1 V2 V3\nedge V1 -> V3\nedge V2 -> V3\n"
+        "exec A 1.0 1.0 1.0\nexec B 1.0 1.0 1.0\nexec C 1.0 1.0 1.0\nassign V1 C\nassign V2 C\n"
+        "[arrivals]\narrive t=0.0 task=T\n",
+        encoding="utf-8",
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = invoke(capsys, "allocate", "--scenario", str(scn))
+    assert code == 2 and out == "" and caught == []
+    assert err == "error: round-trip totals to the hosts of flow predecessors can overflow to infinity\n"
+
+
 def test_infinite_tol_is_rejected(capsys, tmp_path):
     bad = tmp_path / "bad.scn"
     text = (SCENARIO_DIR / "minimal.scn").read_text(encoding="utf-8")

@@ -1,12 +1,15 @@
 import heapq
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperalloc import network
-from hyperalloc.delays import ErlangDelay, ExponentialDelay, substream
+from hyperalloc.delays import DelaySum, ErlangDelay, ExponentialDelay, substream
 from hyperalloc.network import (
     Link,
     NetworkError,
@@ -14,13 +17,13 @@ from hyperalloc.network import (
     RequestProfile,
     Unreachable,
     com_t_max,
-    com_t_pair,
+    comm_delays,
     ict,
     round_trip_matrix,
     shortest_comm_path,
 )
 
-from _oracles import brute_force_route, random_network
+from _oracles import brute_force_route, com_t_pair, com_t_worst, random_network
 
 
 def calibrated():
@@ -190,11 +193,10 @@ def test_com_t_single_hop():
         [Link("A", "B", 1.0, ExponentialDelay(2.0))],
     )
     profile = RequestProfile({("T", "A", "B"): 2})
-    value, dist = com_t_pair(net, profile, "T", "A", "B")
+    delays = comm_delays(net, profile, "T", "A")
     # each of the 2 requests crosses the hop twice: 4 constants + Erlang(4, 2)
-    assert dist.constant == 4.0
-    assert dist.terms == (ErlangDelay(4, 2.0),)
-    assert value == 6.0
+    assert delays == {"B": DelaySum(4.0, (ErlangDelay(4, 2.0),))}
+    assert com_t_max(delays) == 6.0
 
 
 def test_com_t_two_hops_merges_equal_rates():
@@ -206,38 +208,93 @@ def test_com_t_two_hops_merges_equal_rates():
         ],
     )
     profile = RequestProfile({("T", "A", "C"): 1})
-    value, dist = com_t_pair(net, profile, "T", "A", "C")
-    assert dist.constant == 4.0
-    assert dist.terms == (ErlangDelay(4, 4.0),)
-    assert value == 5.0
+    delays = comm_delays(net, profile, "T", "A")
+    assert delays == {"C": DelaySum(4.0, (ErlangDelay(4, 4.0),))}
+    assert com_t_max(delays) == 5.0
 
 
 def test_com_t_zero_requests_and_self():
     net = calibrated()
-    profile = RequestProfile({})
-    value, dist = com_t_pair(net, profile, "T", "R1", "C")
-    assert value == 0.0 and dist.terms == ()
-    value, _ = com_t_pair(net, RequestProfile({("T", "F", "F"): 3}), "T", "F", "F")
-    assert value == 0.0
+    assert comm_delays(net, RequestProfile({}), "T", "R1") == {}
+    assert com_t_max({}) == 0.0
+    # requests to the node itself cost nothing and draw nothing
+    delays = comm_delays(net, RequestProfile({("T", "F", "F"): 3}), "T", "F")
+    assert delays == {}
+    rng = substream(3, 1, 0, 1)
+    assert com_t_max(delays, rng) == 0.0
+    assert rng.random() == substream(3, 1, 0, 1).random()
+    assert list(comm_delays(net, RequestProfile({("T", "F", "F"): 3, ("T", "F", "C"): 1}), "T", "F")) == ["C"]
 
 
 def test_com_t_sampling_is_seeded():
     net = calibrated()
     profile = RequestProfile({("T", "R1", "F"): 2, ("T", "R1", "C"): 7})
-    with pytest.raises(ValueError):
-        com_t_pair(net, profile, "T", "R1", "F", "sample")
-    a = com_t_max(net, profile, "T", "R1", "sample", substream(3, 1, 0, 1))
-    b = com_t_max(net, profile, "T", "R1", "sample", substream(3, 1, 0, 1))
+    delays = comm_delays(net, profile, "T", "R1")
+    a = com_t_max(delays, substream(3, 1, 0, 1))
+    b = com_t_max(delays, substream(3, 1, 0, 1))
     assert a == b
-    c = com_t_max(net, profile, "T", "R1", "sample", substream(4, 1, 0, 1))
+    c = com_t_max(delays, substream(4, 1, 0, 1))
     assert a != c
 
 
 def test_com_t_max_takes_worst_target():
     net = calibrated()
     profile = RequestProfile({("T", "R1", "F"): 2, ("T", "R1", "C"): 7})
-    assert com_t_max(net, profile, "T", "R1") == 372.75
-    assert com_t_max(net, profile, "T", "R2") == 0.0
+    assert com_t_max(comm_delays(net, profile, "T", "R1")) == 372.75
+    assert com_t_max(comm_delays(net, profile, "T", "R2")) == 0.0
+
+
+@st.composite
+def comm_cases(draw):
+    """A random connected network, request counts 0..3 for every (task,
+    source, target) triple of two tasks, self requests included, and a source."""
+    declarations, links = random_network(random.Random(draw(st.integers(0, 2**32 - 1))), max_nodes=7)
+    labels = [label for label, _ in declarations]
+    triples = [(task, a, b) for task in ("T", "U") for a in labels for b in labels]
+    counts = draw(st.lists(st.integers(0, 3), min_size=len(triples), max_size=len(triples)))
+    return declarations, links, dict(zip(triples, counts)), draw(st.sampled_from(labels))
+
+
+# a chain with one rate: multi-hop routes merge into one Erlang term
+CHAIN = (
+    [("A", "robot"), ("B", "fog"), ("C", "fog"), ("D", "cloud")],
+    [("A", "B", 1.0, 2.0), ("B", "C", 0.5, 2.0), ("C", "D", 2.0, 2.0)],
+    {("T", "A", "A"): 2, ("T", "A", "B"): 0, ("T", "A", "C"): 3, ("T", "A", "D"): 1, ("U", "A", "B"): 1},
+    "A",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(case=CHAIN, seed=7)
+@given(case=comm_cases(), seed=st.integers(0, 2**16))
+def test_comm_delays_match_the_per_pair_reference(case, seed):
+    declarations, links, counts, src = case
+    net = NetworkModel(declarations, [Link(a, b, c, ExponentialDelay(lam)) for a, b, c, lam in links])
+    profile = RequestProfile(counts)
+    delays = comm_delays(net, profile, "T", src)
+    drawn = [dst for dst in sorted(profile.targets("T", src), key=lambda d: net.node(d).idx) if dst != src]
+    assert list(delays) == drawn
+    for dst in drawn:
+        assert delays[dst] == com_t_pair(net, profile, "T", src, dst)[1]
+    # k = 0 targets and the source itself add nothing
+    rest = [ref.label for ref in net.ordered if ref.label not in delays]
+    assert all(com_t_pair(net, profile, "T", src, dst)[0] == 0.0 for dst in rest)
+    assert com_t_max(delays).hex() == com_t_worst(net, profile, "T", src).hex()
+
+    draws = []
+    real = network.sample_delay
+
+    def recording(dist, rng):
+        draws.append(real(dist, rng))
+        return draws[-1]
+
+    ours, ref = substream(seed, 1, 0, 1), substream(seed, 1, 0, 1)
+    with mock.patch.object(network, "sample_delay", recording):
+        worst = com_t_max(delays, ours)
+    want = [com_t_pair(net, profile, "T", src, dst, ref)[0] for dst in drawn]
+    assert [d.hex() for d in draws] == [d.hex() for d in want]
+    assert worst == max(want, default=0.0)
+    assert ours.random() == ref.random()
 
 
 def test_ict_conventions():

@@ -11,7 +11,7 @@ import hyperalloc
 from hyperalloc import runner
 from hyperalloc.allocator import MAX_SCORE, NO_CAPABLE_NODE, NON_PERTURBING
 from hyperalloc.delays import ExponentialDelay
-from hyperalloc.network import Link, NetworkModel, RequestProfile, com_t_pair
+from hyperalloc.network import Link, NetworkModel, RequestProfile, comm_delays
 from hyperalloc.report import emit_report
 from hyperalloc.runner import (
     EngineError,
@@ -23,7 +23,7 @@ from hyperalloc.runner import (
 from hyperalloc.scenario import parse_scenario
 from hyperalloc.subspaces import DegenerateRow, Subspace, SubspaceError
 
-from _oracles import critical_cost, oracle_decide, random_dag, score_per_arrival
+from _oracles import com_t_pair, critical_cost, oracle_decide, random_dag, score_per_arrival
 
 
 def strip_overrides(text):
@@ -119,6 +119,24 @@ def test_bad_keyword_overrides(three_robots):
             run(sc, subspaces=subspaces)
 
 
+def test_run_checks_the_scenario_options(three_robots):
+    # options set in code meet the checks a keyword override meets
+    good = parse_scenario(three_robots).options
+    bad = dict(mode="bogus", seed="x", subspaces=("cmpt", "bogus"), step=0.0, tol=math.inf, max_iter=0)
+    for name, value in bad.items():
+        sc = parse_scenario(three_robots)
+        setattr(sc.options, name, value)
+        with pytest.raises(ValueError):
+            run(sc)
+        # an override replaces the value before it is checked
+        assert getattr(run(sc, **{name: getattr(good, name)}), name) == getattr(good, name)
+    # names given as strings are read as an override reads them
+    sc = parse_scenario(three_robots)
+    sc.options.subspaces = ("comm", "cmpt")
+    assert run(sc).subspaces == (Subspace.CMPT, Subspace.COMM)
+    assert sc.options.subspaces == ("comm", "cmpt")
+
+
 def test_run_requires_time_order(three_robots):
     sc = parse_scenario(three_robots)
     sc.arrivals = [(1.0, "T"), (0.0, "T")]
@@ -182,15 +200,25 @@ def with_arrivals(text, times):
     return text.replace("arrive t=0.0 task=T", lines)
 
 
-def count_com_t_max(monkeypatch):
+def record_com_t_max(monkeypatch, sc):
+    """Patch ``runner.com_t_max`` to record (source node, value) per call.
+
+    The source is the node whose ``comm_delays`` table of task T the call
+    scored; every node's table must differ from the others'.
+    """
+    net = NetworkModel(sc.nodes, [Link(a, b, c, ExponentialDelay(lam)) for a, b, c, lam in sc.links])
+    profile = RequestProfile(sc.requests)
+    tables = {ref.label: comm_delays(net, profile, "T", ref.label) for ref in net.ordered}
     calls = []
     original = runner.com_t_max
 
-    def counting(net, profile, task, src, mode="expected", rng=None):
-        calls.append((task, src))
-        return original(net, profile, task, src, mode, rng)
+    def recording(delays, rng=None):
+        value = original(delays, rng)
+        (src,) = [label for label, table in tables.items() if table == delays]
+        calls.append((src, value))
+        return value
 
-    monkeypatch.setattr(runner, "com_t_max", counting)
+    monkeypatch.setattr(runner, "com_t_max", recording)
     return calls
 
 
@@ -198,34 +226,37 @@ def count_com_t_max(monkeypatch):
 def test_com_t_max_calls_per_mode(three_robots, monkeypatch, mode):
     # R2 keeps its override, so only R1 and R3 are ever scored from the network
     text = three_robots.replace("override comm T R1 0.00266\n", "")
-    text = with_arrivals(text.replace("override comm T R3 0.00414\n", ""), (0.0, 1.0, 2.0, 3.0))
-    calls = count_com_t_max(monkeypatch)
-    report = run(parse_scenario(text), mode=mode)
+    sc = parse_scenario(with_arrivals(text.replace("override comm T R3 0.00414\n", ""), (0.0, 1.0, 2.0, 3.0)))
+    calls = record_com_t_max(monkeypatch, sc)
+    report = run(sc, mode=mode)
     assert len(report.decisions) == 4
     arrivals = 1 if mode == "expected" else 4
-    assert calls == [("T", "R1"), ("T", "R3")] * arrivals
+    assert [src for src, _ in calls] == ["R1", "R3"] * arrivals
+
+
+def test_sample_mode_builds_each_delay_table_once(three_robots, monkeypatch):
+    sc = parse_scenario(with_arrivals(strip_overrides(three_robots), (0.0, 1.0, 2.0, 3.0)))
+    built = record_calls(monkeypatch, "comm_delays", lambda net, profile, task, src: (task, src))
+    draws = record_calls(monkeypatch, "com_t_max", lambda delays, rng: rng is not None)
+    run(sc, mode="sample")
+    assert draws == [True] * 12  # three candidates drawn at each of four arrivals
+    assert sorted(built) == [("T", "R1"), ("T", "R2"), ("T", "R3")]
 
 
 def test_deadline_warning_is_issued_once_over_many_arrivals(three_robots, monkeypatch):
     text = strip_overrides(three_robots).replace("window a=0.0 b=inf", "window a=0.0 b=300.0")
-    calls = count_com_t_max(monkeypatch)
-    report = run(parse_scenario(with_arrivals(text, (0.0, 5.0, 10.0))))
-    assert len(calls) == 3
+    sc = parse_scenario(with_arrivals(text, (0.0, 5.0, 10.0)))
+    calls = record_com_t_max(monkeypatch, sc)
+    report = run(sc)
+    assert [src for src, _ in calls] == ["R1", "R2", "R3"]
     assert report.warnings == ["task T on R1: round-trip total 372.75 exceeds deadline 300"]
 
 
 def test_sample_mode_warns_with_the_first_late_draw(three_robots, monkeypatch):
     text = strip_overrides(three_robots).replace("window a=0.0 b=inf", "window a=0.0 b=300.0")
-    draws = []
-    original = runner.com_t_max
-
-    def recording(net, profile, task, src, mode="expected", rng=None):
-        value = original(net, profile, task, src, mode, rng)
-        draws.append((src, value))
-        return value
-
-    monkeypatch.setattr(runner, "com_t_max", recording)
-    report = run(parse_scenario(with_arrivals(text, (0.0, 5.0, 10.0, 15.0, 20.0))), mode="sample")
+    sc = parse_scenario(with_arrivals(text, (0.0, 5.0, 10.0, 15.0, 20.0)))
+    draws = record_com_t_max(monkeypatch, sc)
+    report = run(sc, mode="sample")
     first_late = {}
     for src, value in draws:
         if value > 300.0:
@@ -469,9 +500,25 @@ def test_durations_match_the_per_node_critical_path(monkeypatch, mode):
             row = spec.exec_times[label]
             comm = 0.0
             for dst in profile.targets(task, label):
-                comm += com_t_pair(net, profile, task, label, dst, "expected")[0]
+                comm += com_t_pair(net, profile, task, label, dst)[0]
             want = critical_cost(len(spec.labels), spec.edges, lambda i: row[i - 1]) + comm
             assert type(got) is float and got.hex() == want.hex()
+
+
+def test_busy_time_adds_communication_by_target_label():
+    # node-index order is Z, A, M and label order A, M, Z: added in index
+    # order, the 1e16 mean to Z absorbs each later 1.0; in label order it does not
+    text = (
+        "[network]\nnode S kind=robot\nnode Z kind=robot\nnode A kind=fog\nnode M kind=cloud\n"
+        "link S Z c=5e15 lambda=1e6\nlink S A c=0.25 lambda=4.0\nlink S M c=0.25 lambda=4.0\n"
+        "[profile]\nrequests T S Z k=1\nrequests T S A k=1\nrequests T S M k=1\n"
+        "[task T]\nvertices V\nexec S 1.0\nexec Z 1.0\nexec A 1.0\nexec M 1.0\ncandidates S\n"
+        "[arrivals]\narrive t=0.0 task=T\n[options]\nsubspaces cmpt\n"
+    )
+    (entry,) = run(parse_scenario(text)).schedules["S"]
+    by_label = 1.0 + (((0.0 + 1.0) + 1.0) + 1e16)
+    assert by_label != 1.0 + (((0.0 + 1e16) + 1.0) + 1.0)
+    assert (entry.t_s, entry.t_e) == (0.0, by_label)
 
 
 # ------------------------------------------------------ benchmark seams

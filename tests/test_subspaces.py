@@ -7,7 +7,15 @@ import pytest
 from hyperalloc import subspaces
 from hyperalloc.delays import ExponentialDelay
 from hyperalloc.graphs import algorithm, build_graph, execution_flows, to_semilattice
-from hyperalloc.network import Link, NetworkModel, RequestProfile, com_t_max, ict, round_trip_matrix
+from hyperalloc.network import (
+    Link,
+    NetworkModel,
+    RequestProfile,
+    com_t_max,
+    comm_delays,
+    ict,
+    round_trip_matrix,
+)
 from hyperalloc.subspaces import (
     CompatibilityTable,
     DegenerateRow,
@@ -93,8 +101,8 @@ def test_compatibility_table():
 def test_communication_score_wraps_worst_target():
     net = calibrated_net()
     profile = RequestProfile({("T", "R1", "F"): 2, ("T", "R1", "C"): 7})
-    assert ict(com_t_max(net, profile, "T", "R1")) == 1.0 / 372.75
-    assert ict(com_t_max(net, profile, "T", "R2")) == math.inf
+    assert ict(com_t_max(comm_delays(net, profile, "T", "R1"))) == 1.0 / 372.75
+    assert ict(com_t_max(comm_delays(net, profile, "T", "R2"))) == math.inf
 
 
 def test_top_row_is_uniform_exactly():
@@ -120,7 +128,6 @@ def test_first_row_uses_relative_execution_speed():
     et = np.array([2.0, 2.0, 2.0, 1.0, 0.5])
     a1 = 1.0 - et / et.sum()  # no flow predecessors, so the round-trip factor is 1
     assert np.allclose(state.pi[r], a1 / a1.sum(), atol=1e-12)
-    assert abs(state.normalizers[r] - 1.0 / a1.sum()) < 1e-12
 
 
 def test_zero_exec_time_gets_full_speed_factor():
@@ -155,9 +162,9 @@ def test_degenerate_rows_raise():
     # and a row-by-row fill stops at the first row without mass.
     sl3 = to_semilattice(build_graph(3, [(1, 2)]))
     assert sl3.topo.index(sl3.position[algorithm(2)]) < sl3.topo.index(sl3.position[algorithm(3)])
-    empty = {sl3.position[algorithm(2)]: 0.0, sl3.position[algorithm(3)]: 0.0}
+    # X holds all the time of A2 and A3, so its first factor there is 0, and Y is incapable
     with pytest.raises(DegenerateRow, match="row for A2 "):
-        pi_init(sl3, ("X", "Y"), {"X": [1, 2, 3], "Y": [3, 2, 1]}, a1_override=empty)
+        pi_init(sl3, ("X", "Y"), {"X": [1, 2, 3], "Y": [3, 0, 0]}, incapable=(("Y", 2), ("Y", 3)))
 
 
 def test_pi_init_validation():
@@ -243,21 +250,6 @@ def test_pi_limit_flags_nonconvergence():
         pi_limit(fixture_state(), tol=math.inf)
     with pytest.raises(ValueError):
         pi_limit(fixture_state(), max_iter=0)
-
-
-def test_a2_override_reconstructs_given_row():
-    sl = lattice()
-    bottom = sl.components[0].bottom
-    vector = np.array([0.65, 0.81, 0.71, 0.91, 0.92])
-    state = pi_init(sl, NODES, EXEC, a2_override={bottom: vector})
-    assert np.allclose(state.pi[state.bottom_row], vector / vector.sum(), atol=1e-12)
-    # a scalar first factor cancels under row normalisation
-    state2 = pi_init(sl, NODES, EXEC, a1_override={bottom: 0.65}, a2_override={bottom: vector})
-    assert np.allclose(state2.pi[state.bottom_row], state.pi[state.bottom_row], atol=1e-12)
-    with pytest.raises(ValueError):
-        pi_init(sl, NODES, EXEC, a2_override={bottom: [1.0, 2.0]})
-    with pytest.raises(ValueError):
-        pi_init(sl, NODES, EXEC, a2_override={bottom: -1.0})
 
 
 def test_capital_pi_and_cplt_score():
@@ -382,22 +374,23 @@ def test_dynamics_match_per_row_reference_bit_for_bit():
 
 
 def init_variants(rng, state):
-    """pi_init keyword sets: none, assigned hosts, factor overrides, and
-    zero first factors on two rows, which leaves both without mass."""
+    """pi_init keyword sets: none, assigned hosts, and up to two vertices
+    whose whole execution time sits on the first node while every other
+    node is incapable of them, which leaves their rows without mass."""
     reals = [v for v in state.sl.order if not v.is_virtual]
-    positions = range(len(state.sl.order))
-    n_nodes = len(state.nodes)
+    indices = range(1, len(reals) + 1)
+    first, others = state.nodes[0], state.nodes[1:]
+    empty = rng.sample(indices, min(2, len(reals)))
     return [
         {},
         {"assignment": {v: rng.choice(state.nodes) for v in rng.sample(reals, (len(reals) + 1) // 2)}},
         {
-            "a1_override": {rng.choice(positions): rng.uniform(0.1, 1.0)},
-            "a2_override": {
-                r: [rng.uniform(0.1, 1.0) for _ in range(n_nodes)]
-                for r in rng.sample(positions, 2)
+            "exec_times": {
+                label: [0.0 if v in empty and label != first else rng.uniform(0.5, 5.0) for v in indices]
+                for label in state.nodes
             },
+            "incapable": [(label, v) for label in others for v in empty],
         },
-        {"a1_override": {r: 0.0 for r in rng.sample(state.sl.reals, min(2, len(reals)))}},
     ]
 
 
@@ -417,7 +410,7 @@ def test_pi_init_matches_per_row_reference_bit_for_bit():
                 degenerate += 1
                 continue
             ours = build(**extra)
-            for name in ("pi", "capital", "normalizers", "pred_index", "exec_times", "pr", "ct"):
+            for name in ("pi", "capital", "pred_index", "pr", "ct"):
                 assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
     assert degenerate and deep
 
