@@ -22,7 +22,6 @@ from .delays import (
     ExponentialDelay,
     delay_mean,
     delay_sum,
-    delay_variance,
     sample_delay,
     substream,
 )
@@ -76,18 +75,17 @@ from .scenario import (
     ScenarioError,
     TaskSpec,
     UnresolvedReference,
+    check_scenario,
     format_scenario,
     parse_scenario,
 )
 from .subspaces import (
     CapabilityState,
-    CompatibilityTable,
     DegenerateRow,
     Subspace,
     SubspaceError,
-    SubspaceScore,
-    cmpt_score,
-    combine_scores,
+    check_score,
+    combine_values,
     cplt_score,
     omega_update,
     overall_comm_bound,

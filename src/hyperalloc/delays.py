@@ -29,10 +29,6 @@ class ExponentialDelay:
     def mean(self) -> float:
         return 1.0 / self.rate
 
-    @property
-    def variance(self) -> float:
-        return 1.0 / (self.rate * self.rate)
-
 
 @dataclass(frozen=True)
 class ErlangDelay:
@@ -50,10 +46,6 @@ class ErlangDelay:
     @property
     def mean(self) -> float:
         return self.shape / self.rate
-
-    @property
-    def variance(self) -> float:
-        return self.shape / (self.rate * self.rate)
 
 
 @dataclass(frozen=True)
@@ -79,10 +71,6 @@ def delay_sum(constant: float = 0.0, terms=()) -> DelaySum:
 
 def delay_mean(d: DelaySum) -> float:
     return d.constant + sum(t.mean for t in d.terms)
-
-
-def delay_variance(d: DelaySum) -> float:
-    return sum(t.variance for t in d.terms)
 
 
 def sample_delay(d: DelaySum, rng: np.random.Generator) -> float:

@@ -145,9 +145,6 @@ class RequestProfile:
     def targets(self, task, src) -> tuple:
         return self._targets.get((task, src), ())
 
-    def items(self):
-        return sorted(self._counts.items())
-
 
 def shortest_comm_path(net: NetworkModel, a: str, b: str) -> Route:
     """Minimum expected one-way time route from a to b.

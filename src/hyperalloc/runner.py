@@ -1,9 +1,9 @@
 """Scenario execution: compile the models, score candidates, allocate.
 
-The engine turns a parsed scenario into a network model, request
-profile, compatibility table, and one flow lattice per task, then walks
-the arrival sequence one arrival at a time: each decision reads the
-schedules the previous ones committed.  Scores do not depend on them, so
+The engine checks a scenario's content, turns it into a network model,
+request profile and one flow lattice per task, then walks the arrival
+sequence one arrival at a time: each decision reads the schedules the
+previous ones committed.  Scores do not depend on them, so
 a task's candidates are scored once, at its first arrival (sample mode
 redraws only the communication score for each later arrival).
 """
@@ -37,13 +37,10 @@ from .network import (
     round_trip_matrix,
     shortest_comm_path,
 )
-from .scenario import RunOptions, Scenario, set_option
+from .scenario import RunOptions, Scenario, check_scenario, set_option, unlocated_error
 from .subspaces import (
-    CompatibilityTable,
     Subspace,
-    SubspaceScore,
-    cmpt_score,
-    combine_scores,
+    check_score,
     combine_values,
     cplt_score,
     overall_comm_bound,
@@ -70,19 +67,16 @@ class RunReport:
     warnings: list = field(default_factory=list)
 
 
-def _build_network(sc: Scenario) -> NetworkModel:
-    links = [Link(a, b, c, ExponentialDelay(lam)) for a, b, c, lam in sc.links]
-    return NetworkModel(sc.nodes, links)
-
-
 class _Engine:
     def __init__(self, sc: Scenario, opts: RunOptions):
+        issues = check_scenario(sc)
+        if issues:
+            raise unlocated_error(issues)
         self.sc = sc
         self.opts = opts
-        self.net = _build_network(sc)
+        self.net = NetworkModel(sc.nodes, [Link(a, b, c, ExponentialDelay(lam)) for a, b, c, lam in sc.links])
         self.labels = tuple(ref.label for ref in self.net.ordered)
         self.profile = RequestProfile(sc.requests)
-        self.table = CompatibilityTable(sc.tasks.keys(), self.labels, sc.incompatible)
         self.lattices = {
             task.task_id: to_semilattice(build_graph(len(task.labels), task.edges))
             for task in sc.tasks.values()
@@ -131,7 +125,8 @@ class _Engine:
                 for pos in redraw:
                     label, idx, scores, _ = rows[pos]
                     scores = dict(scores)  # same key order, so the same product order
-                    scores[Subspace.COMM] = self._comm_score(task_id, arrival_idx, label, idx).value
+                    value = self._comm_score(task_id, arrival_idx, label, idx)
+                    scores[Subspace.COMM] = check_score(Subspace.COMM, value)
                     rows[pos] = (label, idx, scores, combine_values(scores.values()))
             return rows
         spec = self.sc.tasks[task_id]
@@ -141,35 +136,36 @@ class _Engine:
         declared = []
         for label in spec.candidates if spec.candidates is not None else self.labels:
             idx = self.net.node(label).idx
-            scores = []
+            scores = {}
             for subspace in subspaces:
                 if subspace is Subspace.CMPT:
-                    scores.append(cmpt_score(self.table, task_id, label))
+                    value = 0.0 if (task_id, label) in self.sc.incompatible else 1.0
                 elif subspace is Subspace.COMM:
-                    scores.append(self._comm_score(task_id, arrival_idx, label, idx))
+                    value = self._comm_score(task_id, arrival_idx, label, idx)
                 else:
-                    scores.append(cplt_score(state, label))
-            declared.append((label, idx, {s.subspace: s.value for s in scores}, combine_scores(scores)))
+                    value = cplt_score(state, label)
+                scores[subspace] = check_score(subspace, value)
+            declared.append((label, idx, scores, combine_values(scores.values())))
         rows = sorted(declared, key=lambda row: row[1])
         drawn = self.opts.mode == "sample" and Subspace.COMM in subspaces
         self._tables[task_id] = rows, [rows.index(row) for row in declared] if drawn else ()
         return rows
 
-    def _comm_score(self, task_id, arrival_idx, label, idx) -> SubspaceScore:
+    def _comm_score(self, task_id, arrival_idx, label, idx) -> float:
         value = self.sc.overrides_comm.get((task_id, label))
-        if value is None:
-            rng = substream(self.opts.seed, 1, arrival_idx, idx) if self.opts.mode == "sample" else None
-            comt = com_t_max(self.delays(task_id, label), rng)
-            deadline = self.sc.tasks[task_id].window[1]
-            if comt > deadline and (task_id, label) not in self._late:
-                # once per pair: in sample mode later draws would add a line each
-                self._late.add((task_id, label))
-                self.warnings.append(
-                    f"task {task_id} on {label}: round-trip total {comt:.6g} "
-                    f"exceeds deadline {deadline:.6g}"
-                )
-            value = ict(comt)
-        return SubspaceScore(Subspace.COMM, value)
+        if value is not None:
+            return value
+        rng = substream(self.opts.seed, 1, arrival_idx, idx) if self.opts.mode == "sample" else None
+        comt = com_t_max(self.delays(task_id, label), rng)
+        deadline = self.sc.tasks[task_id].window[1]
+        if comt > deadline and (task_id, label) not in self._late:
+            # once per pair: in sample mode later draws would add a line each
+            self._late.add((task_id, label))
+            self.warnings.append(
+                f"task {task_id} on {label}: round-trip total {comt:.6g} "
+                f"exceeds deadline {deadline:.6g}"
+            )
+        return ict(comt)
 
     def delays(self, task_id: str, label: str) -> dict:
         """The :func:`comm_delays` table of a task run at a node, built once per run."""
@@ -239,9 +235,9 @@ def run(
     option, overridden or not, is checked by the rules of that section,
     so a bad value raises ValueError.  Equal seeds produce identical
     reports.
-    Arrivals must be ordered by time (the parser guarantees it for
-    scenario text); a Scenario built in code that breaks the order
-    raises ValueError.
+    The scenario's content is checked by :func:`check_scenario`, as the
+    parser checks it: a Scenario built in code that breaks a rule raises
+    ScenarioError, each issue naming its item.
 
     The cyclic garbage collector is paused for the arrival loop, which
     makes no reference cycles, and restored afterwards, also on error.
@@ -251,9 +247,6 @@ def run(
     overrides = dict(mode=mode, seed=seed, subspaces=subspaces, step=step, tol=tol, max_iter=max_iter)
     for name, value in overrides.items():
         set_option(opts, name, getattr(scenario.options, name) if value is None else value)
-    times = [t for t, _ in scenario.arrivals]
-    if times != sorted(times):
-        raise ValueError("arrivals must be ordered by time")
     engine = _Engine(scenario, opts)
     schedules = {label: [] for label in engine.labels}
     decisions = []
@@ -290,9 +283,10 @@ def _vertex_name(spec, v) -> str:
 
 def inspect_flows(scenario: Scenario) -> dict:
     """Execution flows of every task, in emission order."""
+    engine = _Engine(scenario, scenario.options)
     out = {}
     for task_id, spec in scenario.tasks.items():
-        sl = to_semilattice(build_graph(len(spec.labels), spec.edges))
+        sl = engine.lattices[task_id]
         flows = execution_flows(sl)
         out[task_id] = {
             "count": len(flows),
@@ -324,7 +318,7 @@ def inspect_pi(scenario: Scenario) -> dict:
 
 def inspect_routes(scenario: Scenario) -> list:
     """Cheapest route between every node pair, lowest indices first."""
-    net = _build_network(scenario)
+    net = _Engine(scenario, scenario.options).net
     routes = []
     for a in net.ordered:
         for b in net.ordered:

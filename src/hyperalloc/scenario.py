@@ -19,9 +19,11 @@ ignored.  Sections:
     [options]   mode <expected|sample> / seed <int> / subspaces <csv>
                 step <float> / tol <float> / max_iter <int>
 
-Parsing reports every problem it finds with a line and column; a clean
-parse yields a Scenario whose serialised form reparses to an equal
-value.
+The parser reads tokens and number syntax and resolves vertex labels;
+every rule about the content lives in :func:`check_scenario`, which
+checks a Scenario built in code the same way.  Parsing reports every
+problem it finds with a line and column; a clean parse yields a Scenario
+whose serialised form reparses to an equal value.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class ParseIssue:
 
 
 class ScenarioError(HyperallocError):
-    """Scenario text rejected; ``issues`` lists every located problem."""
+    """Scenario rejected; ``issues`` lists every problem, located in the text where there is one."""
 
     def __init__(self, issues):
         self.issues = list(issues)
@@ -116,23 +118,17 @@ def _kv(token):
     return key, value
 
 
-def _parse_number(value, allow_inf=False):
-    """A finite float, or +inf where ``allow_inf``; ValueError otherwise."""
-    number = float(value)
-    if math.isfinite(number) or (allow_inf and number == math.inf):
-        return number
-    raise ValueError(f"not a finite number: {value}")
-
-
 class _Parser:
+    """Reads tokens and number syntax into a Scenario; :func:`check_scenario`
+    then checks its content, and ``where`` locates each item it names."""
+
     def __init__(self, text):
         self.text = text
         self.issues = []
         self.sc = Scenario()
         self.section = None  # ("network",) / ("task", id) / ...
-        self.node_labels = []
         self.seen_sections = set()
-        self.where = {}  # remembers definition lines for late validation
+        self.where = {}  # item key, as check_scenario keys it -> (line, col)
         self.link_lines = 0  # rejected ones included
 
     def bad(self, line, col, message, kind="syntax"):
@@ -155,7 +151,16 @@ class _Parser:
             tokens = stripped.split()
             handler = getattr(self, f"_sec_{self.section[0]}", None)
             handler(line_no, raw, tokens)
-        self.validate()
+        if "network" not in self.seen_sections:
+            self.bad(0, 1, "missing [network] section")
+        else:
+            for task in self.sc.tasks.values():
+                self.resolve(task)
+            # a rejected link line already has its issue; the gap it leaves is no news
+            gap = self.link_lines != len(self.sc.links)
+            for key, message, kind in check_scenario(self.sc):
+                if not (gap and key == ("network",)):
+                    self.bad(*self.where.get(key, (0, 1)), message, kind)
         if self.issues:
             raise _classify(self.issues)
         return self.sc
@@ -173,7 +178,7 @@ class _Parser:
                 self.section = ("skip",)
                 return
             self.sc.tasks[task_id] = TaskSpec(task_id)
-            self.where[("task", task_id)] = line_no
+            self.where[("task", task_id)] = (line_no, 1)
             self.section = ("task", task_id)
             return
         if len(parts) == 1 and parts[0] in ("network", "profile", "compat", "overrides", "arrivals", "options"):
@@ -195,39 +200,28 @@ class _Parser:
             if len(tokens) != 3 or _kv(tokens[2]) is None or _kv(tokens[2])[0] != "kind":
                 self.bad(line_no, 1, "expected: node <label> kind=<robot|fog|cloud>")
                 return
-            label, kind = tokens[1], _kv(tokens[2])[1]
-            if kind not in NODE_KINDS:
-                self.bad(line_no, _col(raw, tokens[2]), f"unknown node kind {kind!r}")
-                return
-            if any(label == existing for existing, _ in self.sc.nodes):
-                self.bad(line_no, _col(raw, label), f"duplicate node {label}", "duplicate")
-                return
-            self.sc.nodes.append((label, kind))
-            self.node_labels.append(label)
+            i = len(self.sc.nodes)
+            self.sc.nodes.append((tokens[1], _kv(tokens[2])[1]))
+            self.where[("node", i)] = (line_no, _col(raw, tokens[1]))
+            self.where[("node", i, "kind")] = (line_no, _col(raw, tokens[2]))
         elif tokens[0] == "link":
             self.link_lines += 1
             if len(tokens) != 5:
                 self.bad(line_no, 1, "expected: link <a> <b> c=<time> lambda=<rate>")
                 return
-            a, b = tokens[1], tokens[2]
             params = dict(filter(None, (_kv(t) for t in tokens[3:])))
             if set(params) != {"c", "lambda"}:
                 self.bad(line_no, 1, "link needs c=<time> and lambda=<rate>")
                 return
             try:
-                c = _parse_number(params["c"])
-                lam = _parse_number(params["lambda"])
+                c, lam = float(params["c"]), float(params["lambda"])
             except ValueError:
                 self.bad(line_no, _col(raw, tokens[3]), "link parameters must be finite numbers")
                 return
-            if c < 0 or lam <= 0:
-                self.bad(line_no, _col(raw, tokens[3]), "need c >= 0 and lambda > 0")
-                return
-            if 2.0 * (c + 1.0 / lam) == math.inf:
-                self.bad(line_no, _col(raw, tokens[3]), "link round trip 2*(c + 1/lambda) overflows to infinity")
-                return
-            self.sc.links.append((a, b, c, lam))
-            self.where[("link", len(self.sc.links) - 1)] = line_no
+            i = len(self.sc.links)
+            self.sc.links.append((tokens[1], tokens[2], c, lam))
+            self.where[("link", i)] = (line_no, 1)
+            self.where[("link", i, "c")] = (line_no, _col(raw, tokens[3]))
         else:
             self.bad(line_no, _col(raw, tokens[0]), f"unknown network directive {tokens[0]!r}")
 
@@ -244,15 +238,13 @@ class _Parser:
         except ValueError:
             self.bad(line_no, _col(raw, tokens[4]), "request count must be an integer")
             return
-        if not 0 <= k <= MAX_REQUESTS:
-            self.bad(line_no, _col(raw, tokens[4]), f"request count must lie in [0, {MAX_REQUESTS}]")
-            return
         key = (tokens[1], tokens[2], tokens[3])
         if key in self.sc.requests:
             self.bad(line_no, 1, f"duplicate request profile entry {key}", "duplicate")
             return
         self.sc.requests[key] = k
-        self.where[("requests", key)] = line_no
+        self.where[("requests", key)] = (line_no, 1)
+        self.where[("requests", key, "k")] = (line_no, _col(raw, tokens[4]))
 
     def _sec_compat(self, line_no, raw, tokens):
         if tokens[0] != "incompatible" or len(tokens) != 3:
@@ -263,49 +255,43 @@ class _Parser:
             self.bad(line_no, 1, f"duplicate incompatibility {pair}", "duplicate")
             return
         self.sc.incompatible.add(pair)
-        self.where[("incompatible", pair)] = line_no
+        self.where[("incompatible", pair)] = (line_no, 1)
 
     def _sec_overrides(self, line_no, raw, tokens):
         if tokens[0] != "override" or len(tokens) != 5 or tokens[1] != "comm":
             self.bad(line_no, 1, "expected: override comm <task> <node> <value>")
             return
         try:
-            value = _parse_number(tokens[4], allow_inf=True)
+            value = float(tokens[4])
         except ValueError:
             self.bad(line_no, _col(raw, tokens[4]), "override value must be a number")
-            return
-        if value < 0:
-            self.bad(line_no, _col(raw, tokens[4]), "override value must be >= 0")
             return
         key = (tokens[2], tokens[3])
         if key in self.sc.overrides_comm:
             self.bad(line_no, 1, f"duplicate override for {key}", "duplicate")
             return
         self.sc.overrides_comm[key] = value
-        self.where[("override", key)] = line_no
+        self.where[("override", key)] = (line_no, 1)
+        self.where[("override", key, "value")] = (line_no, _col(raw, tokens[4]))
 
     def _sec_task(self, line_no, raw, tokens):
         task = self.sc.tasks[self.section[1]]
+        key = ("task", task.task_id)
         name = tokens[0]
         if name == "window":
             params = dict(filter(None, (_kv(t) for t in tokens[1:])))
             if len(tokens) != 3 or set(params) != {"a", "b"}:
                 self.bad(line_no, 1, "expected: window a=<time> b=<time|inf>")
                 return
-            if ("window", task.task_id) in self.where:
+            if key + ("window",) in self.where:
                 self.bad(line_no, 1, f"duplicate window for task {task.task_id}", "duplicate")
                 return
             try:
-                a = _parse_number(params["a"])
-                b = _parse_number(params["b"], allow_inf=True)
+                task.window = (float(params["a"]), float(params["b"]))
             except ValueError:
                 self.bad(line_no, 1, "window needs a finite a and a finite or inf b")
                 return
-            if a < 0 or b < a:
-                self.bad(line_no, 1, "window needs 0 <= a <= b")
-                return
-            task.window = (a, b)
-            self.where[("window", task.task_id)] = line_no
+            self.where[key + ("window",)] = (line_no, 1)
         elif name == "vertices":
             if task.labels:
                 self.bad(line_no, 1, "vertices already declared for this task", "duplicate")
@@ -322,11 +308,12 @@ class _Parser:
             if len(tokens) != 4 or tokens[2] != "->":
                 self.bad(line_no, 1, "expected: edge <from> -> <to>")
                 return
-            if ("edge", task.task_id, tokens[1], tokens[3]) in self.where:
+            edge = (tokens[1], tokens[3])
+            if key + ("edge",) + edge in self.where:
                 self.bad(line_no, _col(raw, tokens[1]), f"duplicate edge {tokens[1]} -> {tokens[3]}", "duplicate")
                 return
-            self.where[("edge", task.task_id, tokens[1], tokens[3])] = line_no
-            task.edges.append((tokens[1], tokens[3], line_no, _col(raw, tokens[1])))
+            self.where[key + ("edge",) + edge] = (line_no, _col(raw, tokens[1]))
+            task.edges.append(edge)  # by label until resolve()
         elif name == "exec":
             if len(tokens) < 3:
                 self.bad(line_no, 1, "expected: exec <node> <time> ...")
@@ -336,33 +323,29 @@ class _Parser:
                 self.bad(line_no, _col(raw, label), f"duplicate exec row for {label}", "duplicate")
                 return
             try:
-                row = [_parse_number(t) for t in tokens[2:]]
+                task.exec_times[label] = [float(t) for t in tokens[2:]]
             except ValueError:
                 self.bad(line_no, 1, "execution times must be finite numbers")
                 return
-            if any(v < 0 for v in row):
-                self.bad(line_no, 1, "execution times must be >= 0")
-                return
-            task.exec_times[label] = row
-            self.where[("exec", task.task_id, label)] = line_no
+            self.where[key + ("exec", label)] = (line_no, 1)
         elif name == "assign":
             if len(tokens) != 3:
                 self.bad(line_no, 1, "expected: assign <vertex> <node>")
                 return
-            if ("assign", task.task_id, tokens[1]) in self.where:
+            if key + ("assign", tokens[1]) in self.where:
                 self.bad(line_no, _col(raw, tokens[1]), f"duplicate assignment for vertex {tokens[1]}", "duplicate")
                 return
-            task.assignment[tokens[1]] = tokens[2]
-            self.where[("assign", task.task_id, tokens[1])] = line_no
+            task.assignment[tokens[1]] = tokens[2]  # by label until resolve()
+            self.where[key + ("assign", tokens[1])] = (line_no, 1)
         elif name == "incapable":
             if len(tokens) != 3:
                 self.bad(line_no, 1, "expected: incapable <node> <vertex>")
                 return
-            if ("incapable", task.task_id, tokens[1], tokens[2]) in self.where:
+            if key + ("incapable", tokens[1], tokens[2]) in self.where:
                 self.bad(line_no, _col(raw, tokens[1]), f"duplicate incapable {tokens[1]} {tokens[2]}", "duplicate")
                 return
-            task.incapable.add((tokens[1], tokens[2]))
-            self.where[("incapable", task.task_id, tokens[1], tokens[2])] = line_no
+            task.incapable.add((tokens[1], tokens[2]))  # by label until resolve()
+            self.where[key + ("incapable", tokens[1], tokens[2])] = (line_no, 1)
         elif name == "candidates":
             if task.candidates is not None:
                 self.bad(line_no, 1, "candidates already declared for this task", "duplicate")
@@ -371,7 +354,7 @@ class _Parser:
                 self.bad(line_no, 1, "expected: candidates <node> ...")
                 return
             task.candidates = tokens[1:]
-            self.where[("candidates", task.task_id)] = line_no
+            self.where[key + ("candidates",)] = (line_no, 1)
         else:
             self.bad(line_no, _col(raw, name), f"unknown task directive {name!r}")
 
@@ -384,15 +367,12 @@ class _Parser:
             self.bad(line_no, 1, "expected: arrive t=<time> task=<id>")
             return
         try:
-            t = _parse_number(params["t"])
+            t = float(params["t"])
         except ValueError:
             self.bad(line_no, 1, "arrival time must be a finite number")
             return
-        if t < 0:
-            self.bad(line_no, 1, "arrival time must be >= 0")
-            return
+        self.where[("arrival", len(self.sc.arrivals))] = (line_no, 1)
         self.sc.arrivals.append((t, params["task"]))
-        self.where[("arrive", len(self.sc.arrivals) - 1)] = line_no
 
     def _sec_options(self, line_no, raw, tokens):
         if len(tokens) != 2:
@@ -406,178 +386,229 @@ class _Parser:
         except ValueError:
             self.bad(line_no, _col(raw, value), f"invalid value {value!r} for option {name}")
 
-    # -- cross-reference validation ---------------------------------------
+    # -- vertex labels to indices ------------------------------------------
 
-    def validate(self):
-        sc = self.sc
-        nodes = set(self.node_labels)
-        if "network" not in self.seen_sections:
-            self.bad(0, 1, "missing [network] section")
-            return
-        if not nodes:
-            self.bad(0, 1, "at least one node is required")
-            return
-
-        pairs = set()
-        for i, (a, b, _, _) in enumerate(sc.links):
-            line = self.where[("link", i)]
-            for endpoint in (a, b):
-                if endpoint not in nodes:
-                    self.bad(line, 1, f"link references undeclared node {endpoint}", "unresolved")
-            if a == b:
-                self.bad(line, 1, "link endpoints must differ")
-            elif frozenset((a, b)) in pairs:
-                self.bad(line, 1, f"duplicate link {a} {b}", "duplicate")
-            pairs.add(frozenset((a, b)))
-
-        # a rejected link already has its issue; the gap it leaves is no news
-        if self.link_lines == len(sc.links) and not self._network_connected():
-            self.bad(0, 1, "network is not connected")
-
-        for key, _ in sc.requests.items():
-            task, src, dst = key
-            line = self.where[("requests", key)]
-            if task not in sc.tasks:
-                self.bad(line, 1, f"requests reference undeclared task {task}", "unresolved")
-            for endpoint in (src, dst):
-                if endpoint not in nodes:
-                    self.bad(line, 1, f"requests reference undeclared node {endpoint}", "unresolved")
-
-        for pair in sorted(sc.incompatible):
-            line = self.where[("incompatible", pair)]
-            if pair[0] not in sc.tasks:
-                self.bad(line, 1, f"incompatibility references undeclared task {pair[0]}", "unresolved")
-            if pair[1] not in nodes:
-                self.bad(line, 1, f"incompatibility references undeclared node {pair[1]}", "unresolved")
-
-        for key in sc.overrides_comm:
-            line = self.where[("override", key)]
-            if key[0] not in sc.tasks:
-                self.bad(line, 1, f"override references undeclared task {key[0]}", "unresolved")
-            if key[1] not in nodes:
-                self.bad(line, 1, f"override references undeclared node {key[1]}", "unresolved")
-
-        for task in sc.tasks.values():
-            self._validate_task(task, nodes)
-
-        last = -math.inf
-        for i, (t, task_id) in enumerate(sc.arrivals):
-            line = self.where[("arrive", i)]
-            if task_id not in sc.tasks:
-                self.bad(line, 1, f"arrival references undeclared task {task_id}", "unresolved")
-            if t < last:
-                self.bad(line, 1, "arrivals must be ordered by time")
-            last = t
-
-    def _validate_task(self, task, nodes):
-        line = self.where[("task", task.task_id)]
+    def resolve(self, task):
+        """Vertex labels to indices; an entry naming an unknown vertex is an issue, and dropped."""
         if not task.labels:
-            self.bad(line, 1, f"task {task.task_id} declares no vertices")
-            return
-        index_of = {label: i + 1 for i, label in enumerate(task.labels)}
+            return  # check_scenario reports the task, and nothing more of it
+        key = ("task", task.task_id)
+        index_of = {label: i for i, label in enumerate(task.labels, start=1)}
 
-        edges = []
-        for a, b, edge_line, col in task.edges:
-            ok = True
-            for endpoint in (a, b):
-                if endpoint not in index_of:
-                    self.bad(edge_line, col, f"edge references unknown vertex {endpoint}", "unresolved")
-                    ok = False
-            if ok:
-                edges.append((index_of[a], index_of[b]))
-        task.edges = edges
-        try:
-            graph = build_graph(len(task.labels), edges)
-        except GraphError as exc:
-            self.bad(line, 1, f"task {task.task_id}: {exc}")
-            return
-        if len(to_semilattice(graph).components) != 1:
-            self.bad(line, 1, f"task {task.task_id} graph must be weakly connected")
+        def known(entry_key, vertices, what):
+            line, col = self.where[entry_key]
+            unknown = [v for v in vertices if v not in index_of]
+            for v in unknown:
+                self.bad(line, col, f"{what} references unknown vertex {v}", "unresolved")
+            return not unknown
 
-        for label in nodes:
-            if label not in task.exec_times:
-                self.bad(line, 1, f"task {task.task_id} missing exec row for node {label}", "unresolved")
-        for label, row in task.exec_times.items():
-            exec_line = self.where[("exec", task.task_id, label)]
-            if label not in nodes:
-                self.bad(exec_line, 1, f"exec row references undeclared node {label}", "unresolved")
-            if len(row) != len(task.labels):
-                self.bad(exec_line, 1, f"exec row needs {len(task.labels)} values, got {len(row)}")
-        self._check_exec_totals(task)
-
+        task.edges = [
+            (index_of[a], index_of[b]) for a, b in task.edges if known(key + ("edge", a, b), (a, b), "edge")
+        ]
         assignment = {}
         for vertex, node in task.assignment.items():
-            assign_line = self.where[("assign", task.task_id, vertex)]
-            if vertex not in index_of:
-                self.bad(assign_line, 1, f"assignment references unknown vertex {vertex}", "unresolved")
-                continue
-            if node not in nodes:
-                self.bad(assign_line, 1, f"assignment references undeclared node {node}", "unresolved")
-                continue
-            assignment[index_of[vertex]] = node
+            if known(key + ("assign", vertex), (vertex,), "assignment"):
+                assignment[index_of[vertex]] = node
+                self.where[key + ("assign", index_of[vertex])] = self.where[key + ("assign", vertex)]
         task.assignment = assignment
-
         incapable = set()
         for node, vertex in sorted(task.incapable):
-            pair_line = self.where[("incapable", task.task_id, node, vertex)]
-            if node not in nodes:
-                self.bad(pair_line, 1, f"incapable references undeclared node {node}", "unresolved")
-                continue
-            if vertex not in index_of:
-                self.bad(pair_line, 1, f"incapable references unknown vertex {vertex}", "unresolved")
-                continue
-            incapable.add((node, index_of[vertex]))
+            item = key + ("incapable", node)
+            if known(item + (vertex,), (vertex,), "incapable"):
+                incapable.add((node, index_of[vertex]))
+                self.where[item + (index_of[vertex],)] = self.where[item + (vertex,)]
         task.incapable = incapable
-        for label in task.labels:
-            idx = index_of[label]
-            if all((node, idx) in incapable for node in nodes):
-                self.bad(line, 1, f"vertex {label} of task {task.task_id} has no capable node")
 
-        if task.candidates is not None:
-            cand_line = self.where[("candidates", task.task_id)]
-            if len(set(task.candidates)) != len(task.candidates):
-                self.bad(cand_line, 1, "candidate nodes must be unique", "duplicate")
-            for label in task.candidates:
-                if label not in nodes:
-                    self.bad(cand_line, 1, f"candidates reference undeclared node {label}", "unresolved")
 
-    def _check_exec_totals(self, task):
-        """Capability scoring divides each execution time by its vertex's
-        total over all nodes, so every total must be finite.  The totals
-        are summed as ``pi_init`` sums them: one numpy row per vertex, nodes
-        in network index order.  An infinite total is reported at the last
-        exec row that adds a positive time to it."""
-        if sum(map(sum, task.exec_times.values())) < 1e300:
-            return  # no summation order can overflow
-        order = [label for kind in NODE_KINDS for label, k in self.sc.nodes if k == kind]
-        rows = [task.exec_times.get(label) for label in order]
-        if any(row is None or len(row) != len(task.labels) for row in rows):
-            return  # already reported
-        with np.errstate(over="ignore"):
-            totals = np.array(rows, dtype=float).T.copy().sum(axis=1)
-        declared = [label for label in task.exec_times if label in order]
-        for i in np.flatnonzero(np.isinf(totals)):
-            label = [label for label in declared if task.exec_times[label][i] > 0][-1]
-            line = self.where[("exec", task.task_id, label)]
-            self.bad(line, 1, f"execution times of vertex {task.labels[i]} sum to infinity over nodes")
+# -- the content of a scenario ---------------------------------------------
 
-    def _network_connected(self):
-        if not self.node_labels:
-            return True
-        adjacency = {label: set() for label in self.node_labels}
-        for a, b, _, _ in self.sc.links:
-            if a in adjacency and b in adjacency:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-        seen = {self.node_labels[0]}
-        frontier = [self.node_labels[0]]
-        while frontier:
-            v = frontier.pop()
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(self.node_labels)
+
+def check_scenario(sc: Scenario) -> list:
+    """Every rule about a scenario's content, whether parsed or built in code.
+
+    Returns ``(key, message, kind)`` issues in a fixed order (``kind``:
+    syntax, unresolved or duplicate).  ``key`` names the item at fault as
+    ``_Parser.where`` keys it: ``("link", i)``, ``("requests", (task, src,
+    dst))``, ``("task", id, "exec", node)``, ``("arrival", i)`` and so on; a
+    trailing field (``"kind"``, ``"c"``, ``"k"``, ``"value"``) points at one
+    value of the item.  ``("network",)`` is the whole network and ``None``
+    the whole scenario.
+    """
+    issues = []
+
+    def bad(key, message, kind="syntax"):
+        issues.append((key, message, kind))
+
+    if not sc.nodes:
+        bad(None, "at least one node is required")
+        return issues
+    nodes = {}  # label -> None, in declaration order
+    for i, (label, kind) in enumerate(sc.nodes):
+        if kind not in NODE_KINDS:
+            bad(("node", i, "kind"), f"unknown node kind {kind!r}")
+        if label in nodes:
+            bad(("node", i), f"duplicate node {label}", "duplicate")
+        nodes[label] = None
+
+    pairs = set()
+    adjacency = {label: set() for label in nodes}
+    for i, (a, b, c, lam) in enumerate(sc.links):
+        if not (math.isfinite(c) and math.isfinite(lam)):
+            bad(("link", i, "c"), "link parameters must be finite numbers")
+        elif c < 0 or lam <= 0:
+            bad(("link", i, "c"), "need c >= 0 and lambda > 0")
+        elif 2.0 * (c + 1.0 / lam) == math.inf:
+            bad(("link", i, "c"), "link round trip 2*(c + 1/lambda) overflows to infinity")
+        for endpoint in (a, b):
+            if endpoint not in nodes:
+                bad(("link", i), f"link references undeclared node {endpoint}", "unresolved")
+        if a == b:
+            bad(("link", i), "link endpoints must differ")
+        elif frozenset((a, b)) in pairs:
+            bad(("link", i), f"duplicate link {a} {b}", "duplicate")
+        pairs.add(frozenset((a, b)))
+        if a in nodes and b in nodes:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    seen = {next(iter(nodes))}
+    frontier = list(seen)
+    while frontier:
+        new = adjacency[frontier.pop()] - seen
+        seen |= new
+        frontier += new
+    if len(seen) != len(nodes):
+        bad(("network",), "network is not connected")
+
+    for key, k in sc.requests.items():
+        task, src, dst = key
+        if isinstance(k, bool) or not isinstance(k, int):
+            bad(("requests", key, "k"), "request count must be an integer")
+        elif not 0 <= k <= MAX_REQUESTS:
+            bad(("requests", key, "k"), f"request count must lie in [0, {MAX_REQUESTS}]")
+        if task not in sc.tasks:
+            bad(("requests", key), f"requests reference undeclared task {task}", "unresolved")
+        for endpoint in (src, dst):
+            if endpoint not in nodes:
+                bad(("requests", key), f"requests reference undeclared node {endpoint}", "unresolved")
+
+    for pair in sorted(sc.incompatible):
+        if pair[0] not in sc.tasks:
+            bad(("incompatible", pair), f"incompatibility references undeclared task {pair[0]}", "unresolved")
+        if pair[1] not in nodes:
+            bad(("incompatible", pair), f"incompatibility references undeclared node {pair[1]}", "unresolved")
+
+    for key, value in sc.overrides_comm.items():
+        if math.isnan(value) or value == -math.inf:
+            bad(("override", key, "value"), "override value must be a number")
+        elif value < 0:
+            bad(("override", key, "value"), "override value must be >= 0")
+        if key[0] not in sc.tasks:
+            bad(("override", key), f"override references undeclared task {key[0]}", "unresolved")
+        if key[1] not in nodes:
+            bad(("override", key), f"override references undeclared node {key[1]}", "unresolved")
+
+    for task_id, task in sc.tasks.items():
+        _check_task(sc, ("task", task_id), task, nodes, bad)
+
+    last = -math.inf
+    for i, (t, task_id) in enumerate(sc.arrivals):
+        if task_id not in sc.tasks:
+            bad(("arrival", i), f"arrival references undeclared task {task_id}", "unresolved")
+        if not math.isfinite(t):
+            bad(("arrival", i), "arrival time must be a finite number")
+        elif t < 0:
+            bad(("arrival", i), "arrival time must be >= 0")
+        else:
+            if t < last:
+                bad(("arrival", i), "arrivals must be ordered by time")
+            last = t
+    return issues
+
+
+def _check_task(sc, key, task, nodes, bad):
+    """The rules of one task, whose item key is ``key``."""
+    task_id = task.task_id
+    a, b = task.window
+    if not math.isfinite(a) or math.isnan(b) or b == -math.inf:
+        bad(key + ("window",), "window needs a finite a and a finite or inf b")
+    elif a < 0 or b < a:
+        bad(key + ("window",), "window needs 0 <= a <= b")
+    rows_ok = True
+    for label, row in task.exec_times.items():
+        if not all(map(math.isfinite, row)):
+            bad(key + ("exec", label), "execution times must be finite numbers")
+            rows_ok = False
+        elif any(v < 0 for v in row):
+            bad(key + ("exec", label), "execution times must be >= 0")
+            rows_ok = False
+    if not task.labels:
+        bad(key, f"task {task_id} declares no vertices")
+        return
+    n = len(task.labels)
+
+    try:
+        graph = build_graph(n, task.edges)
+    except GraphError as exc:
+        bad(key, f"task {task_id}: {exc}")
+        return
+    if len(to_semilattice(graph).components) != 1:
+        bad(key, f"task {task_id} graph must be weakly connected")
+
+    for label in nodes:
+        if label not in task.exec_times:
+            bad(key, f"task {task_id} missing exec row for node {label}", "unresolved")
+    for label, row in task.exec_times.items():
+        if label not in nodes:
+            bad(key + ("exec", label), f"exec row references undeclared node {label}", "unresolved")
+        if len(row) != n:
+            bad(key + ("exec", label), f"exec row needs {n} values, got {len(row)}")
+    if rows_ok:
+        _check_exec_totals(sc, key, task, bad)
+
+    for idx, node in task.assignment.items():
+        if not (isinstance(idx, int) and 1 <= idx <= n):
+            bad(key + ("assign", idx), f"assignment vertex index {idx} outside 1..{n}")
+        elif node not in nodes:
+            bad(key + ("assign", idx), f"assignment references undeclared node {node}", "unresolved")
+
+    incapable = set()
+    for node, idx in sorted(task.incapable):
+        if node not in nodes:
+            bad(key + ("incapable", node, idx), f"incapable references undeclared node {node}", "unresolved")
+        elif not (isinstance(idx, int) and 1 <= idx <= n):
+            bad(key + ("incapable", node, idx), f"incapable vertex index {idx} outside 1..{n}")
+        else:
+            incapable.add((node, idx))
+    for idx, label in enumerate(task.labels, start=1):
+        if all((node, idx) in incapable for node in nodes):
+            bad(key, f"vertex {label} of task {task_id} has no capable node")
+
+    if task.candidates is not None:
+        if len(set(task.candidates)) != len(task.candidates):
+            bad(key + ("candidates",), "candidate nodes must be unique", "duplicate")
+        for label in task.candidates:
+            if label not in nodes:
+                bad(key + ("candidates",), f"candidates reference undeclared node {label}", "unresolved")
+
+
+def _check_exec_totals(sc, key, task, bad):
+    """Capability scoring divides each execution time by its vertex's
+    total over all nodes, so every total must be finite.  The totals
+    are summed as ``pi_init`` sums them: one numpy row per vertex, nodes
+    in network index order.  An infinite total is reported at the last
+    exec row that adds a positive time to it."""
+    if sum(map(sum, task.exec_times.values())) < 1e300:
+        return  # no summation order can overflow
+    order = [label for kind in NODE_KINDS for label, k in sc.nodes if k == kind]
+    rows = [task.exec_times.get(label) for label in order]
+    if any(row is None or len(row) != len(task.labels) for row in rows):
+        return  # already reported
+    with np.errstate(over="ignore"):
+        totals = np.array(rows, dtype=float).T.copy().sum(axis=1)
+    declared = [label for label in task.exec_times if label in order]
+    for i in np.flatnonzero(np.isinf(totals)):
+        label = [label for label in declared if task.exec_times[label][i] > 0][-1]
+        bad(key + ("exec", label), f"execution times of vertex {task.labels[i]} sum to infinity over nodes")
 
 
 def set_option(opts: RunOptions, name: str, value) -> None:
@@ -591,7 +622,9 @@ def set_option(opts: RunOptions, name: str, value) -> None:
         if value not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {value!r}")
     elif name == "seed":
-        value = int(value)
+        value = _integer(value)
+        if not 0 <= value < 2**63:
+            raise ValueError(f"seed must lie in [0, 2**63), got {value}")
     elif name == "subspaces":
         value = _subspace_selection(value)
     elif name == "step":
@@ -603,12 +636,25 @@ def set_option(opts: RunOptions, name: str, value) -> None:
         if not 0 < value < math.inf:
             raise ValueError(f"tol must be positive and finite, got {value}")
     elif name == "max_iter":
-        value = int(value)
+        value = _integer(value)
         if value < 1:
             raise ValueError(f"max_iter must be >= 1, got {value}")
     else:
         raise KeyError(name)
     setattr(opts, name, value)
+
+
+def _integer(value) -> int:
+    """An integer option from its text, or from a number equal to an int; never a bool."""
+    if isinstance(value, str):
+        return int(value)
+    try:
+        whole = int(value)
+    except OverflowError:
+        raise ValueError(f"expected an integer, got {value!r}") from None
+    if isinstance(value, bool) or whole != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return whole
 
 
 def _subspace_selection(value) -> tuple:
@@ -636,6 +682,21 @@ def _classify(issues):
     if kinds == {"duplicate"}:
         return DuplicateDefinition(issues)
     return ParseError(issues)
+
+
+def _named(key, message) -> str:
+    """``message`` led by the name of the item ``key`` names, unless it leads with it already."""
+    if key is None:
+        return message
+    name = " ".join(str(p) for part in key for p in (part if isinstance(part, tuple) else (part,)))
+    return message if message.startswith(name) else f"{name}: {message}"
+
+
+def unlocated_error(issues) -> ScenarioError:
+    """The error for :func:`check_scenario` issues of a Scenario built in
+    code: no text to locate them in (line 0), each message naming its item,
+    as in ``arrival 0: arrival time must be a finite number``."""
+    return _classify([ParseIssue(0, 1, _named(key, message), kind) for key, message, kind in issues])
 
 
 def parse_scenario(text: str) -> Scenario:

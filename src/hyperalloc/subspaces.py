@@ -36,7 +36,6 @@ incapable pairings are pinned to exactly zero throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -50,58 +49,14 @@ class SubspaceError(HyperallocError):
     """Invalid subspace input or state."""
 
 
-class UnknownPair(SubspaceError):
-    """Compatibility queried for an undeclared task or node."""
-
-
 class DegenerateRow(SubspaceError):
     """A probability row has no positive mass to normalise."""
-
-
-class DuplicateSubspace(SubspaceError):
-    """The same subspace appears twice in a combination."""
 
 
 class Subspace(str, Enum):
     CMPT = "cmpt"
     COMM = "comm"
     CPLT = "cplt"
-
-
-@dataclass(frozen=True)
-class SubspaceScore:
-    subspace: Subspace
-    value: float
-
-    def __post_init__(self):
-        v = self.value
-        if self.subspace is Subspace.CMPT and v not in (0.0, 1.0):
-            raise SubspaceError(f"compatibility score must be 0 or 1, got {v}")
-        if self.subspace is Subspace.COMM and (v < 0 or math.isnan(v)):
-            raise SubspaceError(f"communication score must be >= 0, got {v}")
-        if self.subspace is Subspace.CPLT and not (0.0 <= v <= 1.0):
-            raise SubspaceError(f"capability score must lie in [0, 1], got {v}")
-
-
-class CompatibilityTable:
-    """Total boolean relation on declared tasks x declared nodes."""
-
-    def __init__(self, tasks, nodes, incompatible=()):
-        self.tasks = frozenset(tasks)
-        self.nodes = frozenset(nodes)
-        self.incompatible = frozenset(incompatible)
-        for task, node in self.incompatible:
-            if task not in self.tasks or node not in self.nodes:
-                raise UnknownPair(f"incompatibility on undeclared pair ({task}, {node})")
-
-    def compatible(self, task, node) -> bool:
-        if task not in self.tasks or node not in self.nodes:
-            raise UnknownPair(f"undeclared pair ({task}, {node})")
-        return (task, node) not in self.incompatible
-
-
-def cmpt_score(table: CompatibilityTable, task, node) -> SubspaceScore:
-    return SubspaceScore(Subspace.CMPT, 1.0 if table.compatible(task, node) else 0.0)
 
 
 class CapabilityState:
@@ -359,7 +314,7 @@ def pi_limit(state: CapabilityState, tol: float = 1e-6, max_iter: int = 10_000) 
     return state
 
 
-def cplt_score(state: CapabilityState, node) -> SubspaceScore:
+def cplt_score(state: CapabilityState, node) -> float:
     """Capability of a node for the whole task.
 
     Product of the running-maximum probabilities of the virtual start
@@ -372,30 +327,31 @@ def cplt_score(state: CapabilityState, node) -> SubspaceScore:
     if node not in state.col_index:
         raise SubspaceError(f"unknown node {node}")
     c = state.col_index[node]
-    value = float(state.capital[state.top_row, c] * state.capital[state.bottom_row, c])
-    return SubspaceScore(Subspace.CPLT, value)
+    return float(state.capital[state.top_row, c] * state.capital[state.bottom_row, c])
 
 
-def combine_scores(scores) -> float:
-    """Product of per-subspace scores with annihilating zeros.
+def check_score(subspace: Subspace, value: float) -> float:
+    """``value`` if it lies in ``subspace``'s range, else SubspaceError.
 
-    Any zero factor forces a zero product even against +inf (an
-    incompatible node stays unusable no matter how stable its
-    communication); otherwise +inf propagates.  Each subspace may appear
-    at most once.
+    Compatibility is 0 or 1, communication is >= 0 (+inf included) and
+    capability lies in [0, 1].
     """
-    seen = set()
-    values = []
-    for s in scores:
-        if s.subspace in seen:
-            raise DuplicateSubspace(f"subspace {s.subspace.value} given twice")
-        seen.add(s.subspace)
-        values.append(s.value)
-    return combine_values(values)
+    if subspace is Subspace.CMPT and value not in (0.0, 1.0):
+        raise SubspaceError(f"compatibility score must be 0 or 1, got {value}")
+    if subspace is Subspace.COMM and (value < 0 or math.isnan(value)):
+        raise SubspaceError(f"communication score must be >= 0, got {value}")
+    if subspace is Subspace.CPLT and not (0.0 <= value <= 1.0):
+        raise SubspaceError(f"capability score must lie in [0, 1], got {value}")
+    return value
 
 
 def combine_values(values) -> float:
-    """:func:`combine_scores` on a sequence of checked values, multiplied left to right."""
+    """Product of checked per-subspace scores, multiplied left to right.
+
+    Any zero factor forces a zero product even against +inf (an
+    incompatible node stays unusable no matter how stable its
+    communication); otherwise +inf propagates.
+    """
     if any(v == 0 for v in values):
         return 0.0
     return math.prod(values, start=1.0)

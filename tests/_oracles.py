@@ -15,15 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hyperalloc.allocator import IDLE_TASK, ScheduleEntry, WindowViolation
-from hyperalloc.delays import ErlangDelay, delay_mean, delay_sum, sample_delay, substream
+from hyperalloc.delays import ErlangDelay, ExponentialDelay, delay_mean, delay_sum, sample_delay, substream
 from hyperalloc.graphs import AlgorithmId, algorithm, build_graph, to_semilattice
 from hyperalloc.network import ict, round_trip_matrix, shortest_comm_path
 from hyperalloc.subspaces import (
     CapabilityState,
     DegenerateRow,
     Subspace,
-    SubspaceScore,
-    combine_scores,
+    check_score,
+    combine_values,
     cplt_score,
     pi_init,
     pi_limit,
@@ -341,6 +341,20 @@ def oracle_decide(candidates, combined, schedules, arrival, durations, window, r
     return pick, "min-loss", admissible[pick]
 
 
+# ---------------------------------------------------------------- delays
+
+
+def variance(d):
+    """Variance of an :class:`ExponentialDelay` or :class:`ErlangDelay`."""
+    shape = 1 if isinstance(d, ExponentialDelay) else d.shape
+    return shape / (d.rate * d.rate)
+
+
+def delay_variance(d):
+    """Variance of a DelaySum: its independent Erlang terms' variances add."""
+    return sum(variance(t) for t in d.terms)
+
+
 # -------------------------------------------------------------- scoring
 
 
@@ -375,7 +389,7 @@ def score_per_arrival(sc, opts, net, profile, states, task_id, arrival_idx):
     """Candidate rows ``(label, idx, scores, combined)`` of one arrival, scored afresh.
 
     Every subspace score is recomputed for this arrival alone and
-    combined with ``combine_scores``, in node-index order; sample mode
+    checked with ``check_score`` and combined with ``combine_values``, in node-index order; sample mode
     draws comm from ``substream(seed, 1, arrival_idx, idx)``.  ``states``
     caches each task's converged capability dynamics, which no arrival
     changes.
@@ -407,8 +421,8 @@ def score_per_arrival(sc, opts, net, profile, states, task_id, arrival_idx):
                 rng = substream(opts.seed, 1, arrival_idx, idx) if opts.mode == "sample" else None
                 scores[subspace] = ict(com_t_worst(net, profile, task_id, label, rng))
             else:
-                scores[subspace] = cplt_score(states[task_id], label).value
-        combined = combine_scores([SubspaceScore(s, v) for s, v in scores.items()])
+                scores[subspace] = cplt_score(states[task_id], label)
+        combined = combine_values([check_score(s, v) for s, v in scores.items()])
         rows.append((label, idx, scores, combined))
     return rows
 

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from hyperalloc.allocator import NO_CAPABLE_NODE, allocate, commit_decision
-from hyperalloc.delays import delay_mean, delay_variance, sample_delay, substream
+from hyperalloc.delays import delay_mean, sample_delay, substream
 from hyperalloc.graphs import (
     build_graph,
     count_execution_flows,
@@ -33,8 +33,8 @@ from hyperalloc.runner import run
 from hyperalloc.scenario import parse_scenario
 from hyperalloc.subspaces import (
     Subspace,
-    SubspaceScore,
-    combine_scores,
+    check_score,
+    combine_values,
     cplt_score,
     pi_init,
     pi_limit,
@@ -42,6 +42,7 @@ from hyperalloc.subspaces import (
 
 from _oracles import (
     brute_force_route,
+    delay_variance,
     enumerate_flows,
     oracle_decide,
     random_dag,
@@ -68,14 +69,14 @@ def test_01_score_product_golden():
         ]
         built = [
             [
-                SubspaceScore(Subspace.CMPT, cmpt),
-                SubspaceScore(Subspace.COMM, comm),
-                SubspaceScore(Subspace.CPLT, cplt),
+                check_score(Subspace.CMPT, cmpt),
+                check_score(Subspace.COMM, comm),
+                check_score(Subspace.CPLT, cplt),
             ]
             for (cmpt, comm, cplt), _ in cases
         ]
         start = time.perf_counter()
-        got = [combine_scores(scores) for scores in built]
+        got = [combine_values(scores) for scores in built]
         elapsed = time.perf_counter() - start
         for value, (_, want) in zip(got, cases):
             assert abs(value - want) / want < 0.01
@@ -102,7 +103,7 @@ def test_03_relative_speed_reconstruction():
         state.pi[state.bottom_row] = state.capital[state.bottom_row] = vector / vector.sum()
         targets = (0.033, 0.041, 0.036, 0.046, 0.046)
         for label, want in zip(NODES, targets):
-            assert abs(cplt_score(state, label).value - want) <= 1e-3
+            assert abs(cplt_score(state, label) - want) <= 1e-3
 
 
 def test_04_delay_composition():
@@ -251,7 +252,7 @@ def test_08_perturbation_invariants():
 
             def rows_for(task):
                 return [
-                    (label, idx, {Subspace.COMM: value}, combine_scores([SubspaceScore(Subspace.COMM, value)]))
+                    (label, idx, {Subspace.COMM: value}, combine_values([check_score(Subspace.COMM, value)]))
                     for label, idx in candidates
                     for value in [combined[(task, label)]]
                 ]

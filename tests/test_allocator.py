@@ -19,7 +19,7 @@ from hyperalloc.allocator import (
     reallocation_loss,
     schedule_impact,
 )
-from hyperalloc.subspaces import Subspace, SubspaceScore, combine_scores
+from hyperalloc.subspaces import Subspace, check_score, combine_values
 
 from _oracles import FullImpact, commit_decision_full, reallocation_loss_full, schedule_impact_full
 
@@ -142,7 +142,7 @@ def test_reallocation_loss_counts_strict_drops_only():
 
 def fixed_scores(candidates, values):
     return [
-        (label, idx, {Subspace.COMM: values[label]}, combine_scores([SubspaceScore(Subspace.COMM, values[label])]))
+        (label, idx, {Subspace.COMM: values[label]}, combine_values([check_score(Subspace.COMM, values[label])]))
         for label, idx in candidates
     ]
 

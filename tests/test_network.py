@@ -182,7 +182,7 @@ def test_request_targets_index_matches_brute_force():
         profile = RequestProfile(counts)
         for task in tasks + ("T9",):
             for src in nodes:
-                want = tuple(sorted(d for (t, s, d), _ in profile.items() if t == task and s == src))
+                want = tuple(sorted(d for (t, s, d), k in counts.items() if t == task and s == src and k))
                 assert profile.targets(task, src) == want
                 assert all(counts[(task, src, d)] > 0 for d in want)
 
@@ -264,7 +264,7 @@ CHAIN = (
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @example(case=CHAIN, seed=7)
 @given(case=comm_cases(), seed=st.integers(0, 2**16))
 def test_comm_delays_match_the_per_pair_reference(case, seed):

@@ -20,8 +20,8 @@ from hyperalloc.runner import (
     inspect_routes,
     run,
 )
-from hyperalloc.scenario import parse_scenario
-from hyperalloc.subspaces import DegenerateRow, Subspace, SubspaceError
+from hyperalloc.scenario import ScenarioError, parse_scenario
+from hyperalloc.subspaces import DegenerateRow, Subspace
 
 from _oracles import com_t_pair, critical_cost, oracle_decide, random_dag, score_per_arrival
 
@@ -104,6 +104,13 @@ def test_bad_keyword_overrides(three_robots):
         {"tol": 0.0},
         {"tol": math.inf},
         {"max_iter": 0},
+        {"max_iter": 1.5},
+        {"max_iter": True},
+        {"seed": 1.5},
+        {"seed": True},
+        {"seed": -1},
+        {"seed": 2**63},
+        {"seed": math.inf},
     ):
         with pytest.raises(ValueError):
             run(sc, **kwargs)
@@ -140,7 +147,7 @@ def test_run_checks_the_scenario_options(three_robots):
 def test_run_requires_time_order(three_robots):
     sc = parse_scenario(three_robots)
     sc.arrivals = [(1.0, "T"), (0.0, "T")]
-    with pytest.raises(ValueError, match="ordered by time"):
+    with pytest.raises(ScenarioError, match="ordered by time"):
         run(sc)
 
 
@@ -409,15 +416,16 @@ def record_calls(monkeypatch, name, key):
 
 def test_expected_mode_scores_each_candidate_once_per_run(monkeypatch):
     sc = parse_scenario(varied_scenario(4, "mode expected\n"))
-    cmpt = record_calls(monkeypatch, "cmpt_score", lambda table, task, label: (task, label))
     cplt = record_calls(monkeypatch, "cplt_score", lambda state, label: (id(state), label))
-    combined = record_calls(monkeypatch, "combine_scores", len)
+    checked = record_calls(monkeypatch, "check_score", lambda subspace, value: subspace)
+    combined = record_calls(monkeypatch, "combine_values", len)
     run(sc)
     arrived = {task for _, task in sc.arrivals}
     pairs = {(task, label) for task in arrived for label in sc.tasks[task].candidates}
     assert len(sc.arrivals) > 2 * len(arrived)
-    assert sorted(cmpt) == sorted(pairs)
     assert len(set(cplt)) == len(cplt) == len(pairs)
+    # one check per (task, node) and subspace, one product per (task, node)
+    assert checked == [Subspace.CMPT, Subspace.COMM, Subspace.CPLT] * len(pairs)
     assert combined == [3] * len(pairs)
 
 
@@ -437,15 +445,16 @@ def test_sample_mode_draws_comm_once_per_arrival_and_candidate_in_declared_order
     ]
 
 
-def test_negative_comm_override_fails_at_the_tasks_first_arrival(monkeypatch):
+def test_negative_comm_override_fails_before_any_arrival(monkeypatch):
     sc = parse_scenario(varied_scenario(4))
     late = sc.arrivals[-1][1]
     first = next(i for i, (_, task) in enumerate(sc.arrivals) if task == late)
-    sc.overrides_comm[(late, sc.tasks[late].candidates[0])] = -1.0
+    label = sc.tasks[late].candidates[0]
+    sc.overrides_comm[(late, label)] = -1.0
     commits = record_calls(monkeypatch, "commit_decision", lambda decision, schedules: decision.arrival_idx)
-    with pytest.raises(SubspaceError, match="communication score must be >= 0"):
+    with pytest.raises(ScenarioError, match=f"override {late} {label} value: override value must be >= 0"):
         run(sc)
-    assert first > 0 and commits == list(range(first))
+    assert first > 0 and commits == []
 
 
 # ------------------------------------------------------------ durations
@@ -566,9 +575,12 @@ def _zero_busy_time():
     return sc, EngineError
 
 
-def _no_capable_node():
+def _row_without_mass():
+    # V's one capable node, A, takes all of V's execution time: its
+    # attenuation, and so the mass of V's row, is zero
     sc = _two_node_scenario(1.0)
-    sc.tasks["T"].incapable.update({("A", 1), ("B", 1)})  # past the parser's check
+    sc.tasks["T"].exec_times["B"] = [0.0]
+    sc.tasks["T"].incapable.add(("B", 1))
     return sc, DegenerateRow
 
 
@@ -591,7 +603,7 @@ def test_run_restores_the_collector_state(three_robots, gc_state, enabled):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("failing", [_zero_busy_time, _no_capable_node])
+@pytest.mark.parametrize("failing", [_zero_busy_time, _row_without_mass])
 def test_run_restores_the_collector_state_when_it_raises(gc_state, enabled, failing):
     sc, error = failing()
     gc_state(enabled)

@@ -304,6 +304,8 @@ def test_option_validation():
     assert "invalid value" in str(errors_of(base + "mode maybe\n"))
     assert "invalid value" in str(errors_of(base + "subspaces cmpt,bogus\n"))
     assert "invalid value" in str(errors_of(base + "max_iter 0\n"))
+    assert "invalid value" in str(errors_of(base + "seed -1\n"))
+    assert "invalid value" in str(errors_of(base + "seed 9223372036854775808\n"))
     assert "unknown option" in str(errors_of(base + "speed 9\n"))
     sc = parse_scenario(base + "subspaces cplt,cmpt\n")
     # canonical ordering regardless of how the selection was written

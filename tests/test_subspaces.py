@@ -16,15 +16,14 @@ from hyperalloc.network import (
     ict,
     round_trip_matrix,
 )
+from hyperalloc.runner import run
+from hyperalloc.scenario import UnresolvedReference, check_scenario, parse_scenario
 from hyperalloc.subspaces import (
-    CompatibilityTable,
     DegenerateRow,
     Subspace,
     SubspaceError,
-    SubspaceScore,
-    UnknownPair,
-    cmpt_score,
-    combine_scores,
+    check_score,
+    combine_values,
     cplt_score,
     omega_update,
     overall_comm_bound,
@@ -40,6 +39,7 @@ from _oracles import (
     random_dag,
     random_network,
 )
+from conftest import scenario_text
 
 EDGES = [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (5, 7), (6, 8), (7, 8)]
 NODES = ("R1", "R2", "R3", "F", "C")
@@ -75,27 +75,31 @@ def fixture_state(**kwargs):
 
 
 def test_score_ranges():
-    SubspaceScore(Subspace.CMPT, 1.0)
-    SubspaceScore(Subspace.COMM, math.inf)
-    SubspaceScore(Subspace.CPLT, 0.5)
+    assert check_score(Subspace.CMPT, 1.0) == 1.0
+    assert check_score(Subspace.COMM, math.inf) == math.inf
+    assert check_score(Subspace.CPLT, 0.5) == 0.5
     with pytest.raises(SubspaceError):
-        SubspaceScore(Subspace.CMPT, 0.5)
+        check_score(Subspace.CMPT, 0.5)
     with pytest.raises(SubspaceError):
-        SubspaceScore(Subspace.COMM, -0.1)
+        check_score(Subspace.COMM, -0.1)
     with pytest.raises(SubspaceError):
-        SubspaceScore(Subspace.CPLT, 1.5)
+        check_score(Subspace.CPLT, 1.5)
 
 
 def test_compatibility_table():
-    table = CompatibilityTable(("T",), NODES, {("T", "R3")})
-    assert table.compatible("T", "R1")
-    assert not table.compatible("T", "R3")
-    assert cmpt_score(table, "T", "R1").value == 1.0
-    assert cmpt_score(table, "T", "R3").value == 0.0
-    with pytest.raises(UnknownPair):
-        table.compatible("U", "R1")
-    with pytest.raises(UnknownPair):
-        CompatibilityTable(("T",), NODES, {("T", "R9")})
+    # a declared incompatible pair scores 0, every other declared pair 1
+    sc = parse_scenario(scenario_text("three_robots.scn"))
+    assert sc.incompatible == {("T", "R3")}
+    (decision,) = run(sc).decisions
+    assert {c.node: c.scores[Subspace.CMPT] for c in decision.candidates} == {"R1": 1.0, "R2": 1.0, "R3": 0.0}
+    # a pair naming an undeclared task or node is a scenario issue
+    for pair, name in ((("U", "R1"), "task U"), (("T", "R9"), "node R9")):
+        sc = parse_scenario(scenario_text("three_robots.scn"))
+        sc.incompatible.add(pair)
+        message = f"incompatibility references undeclared {name}"
+        assert check_scenario(sc) == [(("incompatible", pair), message, "unresolved")]
+        with pytest.raises(UnresolvedReference, match=message):
+            run(sc)
 
 
 def test_communication_score_wraps_worst_target():
@@ -257,8 +261,8 @@ def test_capital_pi_and_cplt_score():
     top = lattice().components[0].top
     assert state.capital[top, state.col_index["R1"]] == 0.2
     s = cplt_score(state, "R2")
-    assert s.subspace is Subspace.CPLT
-    assert abs(s.value - state.capital[state.top_row, 1] * state.capital[state.bottom_row, 1]) < 1e-18
+    assert type(s) is float
+    assert abs(s - state.capital[state.top_row, 1] * state.capital[state.bottom_row, 1]) < 1e-18
     with pytest.raises(SubspaceError):
         cplt_score(state, "R9")
 
@@ -273,20 +277,16 @@ def test_cplt_requires_single_component():
 
 def test_combine_scores_annihilation_and_infinity():
     def scores(*pairs):
-        return [SubspaceScore(s, v) for s, v in pairs]
+        return [check_score(s, v) for s, v in pairs]
 
-    assert combine_scores(scores((Subspace.CMPT, 1.0), (Subspace.COMM, 0.5))) == 0.5
-    assert combine_scores(scores((Subspace.CMPT, 0.0), (Subspace.COMM, math.inf))) == 0.0
-    assert combine_scores(scores((Subspace.COMM, math.inf), (Subspace.CPLT, 0.25))) == math.inf
-    assert combine_scores([]) == 1.0
-    value = combine_scores(
+    assert combine_values(scores((Subspace.CMPT, 1.0), (Subspace.COMM, 0.5))) == 0.5
+    assert combine_values(scores((Subspace.CMPT, 0.0), (Subspace.COMM, math.inf))) == 0.0
+    assert combine_values(scores((Subspace.COMM, math.inf), (Subspace.CPLT, 0.25))) == math.inf
+    assert combine_values([]) == 1.0
+    value = combine_values(
         scores((Subspace.CMPT, 1.0), (Subspace.COMM, 0.00266), (Subspace.CPLT, 0.033))
     )
     assert abs(value - 8.778e-5) < 1e-12
-    from hyperalloc.subspaces import DuplicateSubspace
-
-    with pytest.raises(DuplicateSubspace):
-        combine_scores(scores((Subspace.COMM, 1.0), (Subspace.COMM, 2.0)))
 
 
 def test_overall_comm_bound_matches_flow_enumeration():
