@@ -9,6 +9,7 @@ from .allocator import (
     AllocationDecision,
     CandidateReport,
     ImpactReport,
+    NodeSchedule,
     ScheduleEntry,
     WindowViolation,
     allocate,

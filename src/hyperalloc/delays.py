@@ -69,8 +69,17 @@ def delay_sum(constant: float = 0.0, terms=()) -> DelaySum:
     return DelaySum(float(constant), merged)
 
 
+def added_in_order(values) -> float:
+    """Left-to-right float sum.  From Python 3.12 on the builtin ``sum()``
+    compensates float rounding, which would change report bytes."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def delay_mean(d: DelaySum) -> float:
-    return d.constant + sum(t.mean for t in d.terms)
+    return d.constant + added_in_order(t.mean for t in d.terms)
 
 
 def sample_delay(d: DelaySum, rng: np.random.Generator) -> float:

@@ -181,6 +181,25 @@ def build_graph(vertex_count: int, edges) -> AlgorithmGraph:
     )
 
 
+def weak_component_count(vertex_count: int, edges) -> int:
+    """Number of weakly connected components of a graph on 1..vertex_count,
+    by union-find over the edge list, without lifting the graph."""
+    parent = list(range(vertex_count + 1))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    count = vertex_count
+    for a, b in edges:
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            parent[ra] = rb
+            count -= 1
+    return count
+
+
 def to_semilattice(g: AlgorithmGraph) -> SemiLattice:
     """Lift each weakly connected component with virtual endpoints.
 

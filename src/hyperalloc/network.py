@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delays import ErlangDelay, ExponentialDelay, delay_mean, delay_sum, sample_delay
+from .delays import ErlangDelay, ExponentialDelay, added_in_order, delay_mean, delay_sum, sample_delay
 from .errors import HyperallocError
 
 NODE_KINDS = ("robot", "fog", "cloud")
@@ -205,7 +205,7 @@ def comm_delays(net, profile, task, src) -> dict:
             continue
         k = profile.count(task, src, dst)
         links = shortest_comm_path(net, src, dst).links
-        constant = 2 * k * sum(link.constant_time for link in links)
+        constant = 2 * k * added_in_order(link.constant_time for link in links)
         out[dst] = delay_sum(constant, [ErlangDelay(2 * k, link.delay.rate) for link in links])
     return out
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import allocate, commit_decision
+from .allocator import NodeSchedule, allocate, commit_decision
 from .delays import ExponentialDelay, delay_mean, substream
 from .errors import HyperallocError
 from .graphs import (
@@ -204,20 +204,6 @@ class _Engine:
         cost[sl.reals.start : sl.reals.stop] = np.transpose([spec.exec_times[label] for label in labels])
         return dict(zip(labels, flow_critical_cost(sl, cost).tolist()))
 
-    def rescorer(self):
-        # no shifted end exceeds an infinite deadline, so only finite ones are tested
-        deadlines = {task: spec.window[1] for task, spec in self.sc.tasks.items() if spec.window[1] < math.inf}
-
-        def rescore(entry, new_start):
-            if entry.forced_idle:
-                return 0.0
-            deadline = deadlines.get(entry.task)
-            if deadline is not None and new_start + (entry.t_e - entry.t_s) > deadline:
-                return 0.0
-            return entry.score
-
-        return rescore
-
 
 def run(
     scenario: Scenario,
@@ -248,16 +234,15 @@ def run(
     for name, value in overrides.items():
         set_option(opts, name, getattr(scenario.options, name) if value is None else value)
     engine = _Engine(scenario, opts)
-    schedules = {label: [] for label in engine.labels}
+    schedules = {label: NodeSchedule() for label in engine.labels}
     decisions = []
-    rescore = engine.rescorer()
     collecting = gc.isenabled()
     gc.disable()
     try:
         for i, (t, task_id) in enumerate(scenario.arrivals):
             rows = engine.rows(task_id, i)
             window = scenario.tasks[task_id].window
-            decision = allocate(task_id, t, i, rows, engine.duration, window, schedules, rescore)
+            decision = allocate(task_id, t, i, rows, engine.duration, window, schedules)
             commit_decision(decision, schedules)
             decisions.append(decision)
     finally:
@@ -271,7 +256,7 @@ def run(
         tol=opts.tol,
         max_iter=opts.max_iter,
         decisions=decisions,
-        schedules=schedules,
+        schedules={label: schedule.entries() for label, schedule in schedules.items()},
         convergence=engine.convergence,
         warnings=engine.warnings,
     )

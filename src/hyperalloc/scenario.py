@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HyperallocError
-from .graphs import GraphError, build_graph, to_semilattice
+from .graphs import GraphError, build_graph, weak_component_count
 from .network import MODES, NODE_KINDS
 from .subspaces import Subspace
 
@@ -547,11 +547,11 @@ def _check_task(sc, key, task, nodes, bad):
     n = len(task.labels)
 
     try:
-        graph = build_graph(n, task.edges)
+        build_graph(n, task.edges)
     except GraphError as exc:
         bad(key, f"task {task_id}: {exc}")
         return
-    if len(to_semilattice(graph).components) != 1:
+    if weak_component_count(n, task.edges) != 1:
         bad(key, f"task {task_id} graph must be weakly connected")
 
     for label in nodes:

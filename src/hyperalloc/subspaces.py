@@ -50,7 +50,7 @@ class SubspaceError(HyperallocError):
 
 
 class DegenerateRow(SubspaceError):
-    """A probability row has no positive mass to normalise."""
+    """A probability row has no capable node to hold its mass."""
 
 
 class Subspace(str, Enum):
@@ -110,7 +110,10 @@ def pi_init(
     topological level at a time, so predecessor rows always exist).
 
     Without a network model all round-trip totals are zero and the
-    second factor degenerates to one.
+    second factor degenerates to one.  A row in which every capable node
+    has a zero factor (a lone capable node holding all of the row's
+    execution time has) is shared evenly by its capable nodes; a row with
+    no capable node raises DegenerateRow.
     """
     if not 0 < step <= 1:
         raise ValueError(f"step must lie in (0, 1], got {step}")
@@ -194,24 +197,17 @@ def pi_init(
     a1 = _attenuation(et)
     host = fixed.copy()
     pi = np.zeros((n_rows, n_nodes))
-    mass = np.zeros(n_rows)
-    # A row without mass divides by zero here; it is reported below.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for level in levels:
-            at = np.array(level)
-            a2 = _attenuation(_denominators(ct, host, pred_index[at, : width[at].max()]))
-            raw = a1[at] * a2 * capable[at]
-            total = raw.sum(axis=1, keepdims=True)
-            mass[at] = total[:, 0]
-            pi[at] = raw / total
-            host[at] = np.where(fixed[at] < 0, pi[at].argmax(axis=1), fixed[at])
-    # Rows filled after an empty one may rest on its meaningless host, but
-    # they follow it in topological order: the first empty row in that
-    # order is the one a row-by-row fill would have stopped at.
-    empty = mass <= 0
-    if empty.any():
-        r = next(r for r in sl.topo if empty[r])
-        raise DegenerateRow(f"row for {rows[r]} has no positive mass")
+    for level in levels:
+        at = np.array(level)
+        a2 = _attenuation(_denominators(ct, host, pred_index[at, : width[at].max()]))
+        raw = a1[at] * a2 * capable[at]
+        total = raw.sum(axis=1, keepdims=True)
+        if not total.all():  # no pull anywhere in a row: its capable nodes share it evenly
+            empty = total[:, 0] == 0
+            raw[empty] = capable[at[empty]]
+            total[empty] = raw[empty].sum(axis=1, keepdims=True)
+        pi[at] = raw / total
+        host[at] = np.where(fixed[at] < 0, pi[at].argmax(axis=1), fixed[at])
 
     pr = np.divide(1.0, et, out=np.zeros_like(et), where=et > 0)
     return CapabilityState(sl, nodes, pi, pi.copy(), capable, pr, pred_index, ct, step)

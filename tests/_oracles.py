@@ -20,7 +20,6 @@ from hyperalloc.graphs import AlgorithmId, algorithm, build_graph, to_semilattic
 from hyperalloc.network import ict, round_trip_matrix, shortest_comm_path
 from hyperalloc.subspaces import (
     CapabilityState,
-    DegenerateRow,
     Subspace,
     check_score,
     combine_values,
@@ -260,12 +259,25 @@ def schedule_impact_full(schedule, task, duration, arrival, window=(0.0, math.in
             new_start = frontier
             report.affected.append((i + 1, entry.t_s, new_start))
             report.shifts.append((i + 1, entry, new_start))
-            frontier = new_start + entry.duration
+            frontier = new_start + (entry.t_e - entry.t_s)
             if frontier == math.inf:
                 raise WindowViolation(f"task {task} would shift an entry to end at infinity")
         else:
             frontier = entry.t_e
     return report
+
+
+def deadline_rescorer(deadlines):
+    """The rescoring rule for :func:`reallocation_loss_full`: a shifted
+    entry scores 0 when it is forced idle or its new end passes its task's
+    deadline (``deadlines[task]``, ``inf`` when absent), else keeps its score."""
+
+    def rescore(entry, new_start):
+        if entry.forced_idle or new_start + (entry.t_e - entry.t_s) > deadlines.get(entry.task, math.inf):
+            return 0.0
+        return entry.score
+
+    return rescore
 
 
 def reallocation_loss_full(report, scorer):
@@ -280,24 +292,30 @@ def reallocation_loss_full(report, scorer):
 
 
 def commit_decision_full(decision, schedules):
-    """Reference for ``allocator.commit_decision``: full scan, append, re-sort."""
+    """Reference for ``allocator.commit_decision``: full scans and list splicing.
+
+    The entries that end by the new slot's start stay before it, every
+    other entry goes after it, and an idle entry fills any wait between
+    the arrival (or the last of the entries before) and the start.
+    """
     if decision.chosen is None:
         return
     winner = next(c for c in decision.candidates if c.node == decision.chosen)
     impact = winner.impact
     schedule = schedules[winner.node]
+    before = [e for e in schedule if e.t_e <= impact.start]
+    after = [e for e in schedule if e.t_e > impact.start]
     for _, entry, new_start, new_score in impact.rescored:
-        length = entry.duration
+        length = entry.t_e - entry.t_s
         entry.t_s = new_start
         entry.t_e = new_start + length
         entry.score = new_score
 
-    ends_before = [e.t_e for e in schedule if e.t_e <= impact.start]
-    waited_from = max(ends_before + [decision.arrival])
+    waited_from = max([e.t_e for e in before] + [decision.arrival])
+    added = [ScheduleEntry(decision.task, impact.start, impact.end, score=winner.combined)]
     if waited_from < impact.start:
-        schedule.append(ScheduleEntry(IDLE_TASK, waited_from, impact.start, forced_idle=True))
-    schedule.append(ScheduleEntry(decision.task, impact.start, impact.end, score=winner.combined))
-    schedule.sort(key=lambda e: e.t_s)
+        added.insert(0, ScheduleEntry(IDLE_TASK, waited_from, impact.start, forced_idle=True))
+    schedule[:] = before + added + after
 
 
 def oracle_decide(candidates, combined, schedules, arrival, durations, window, rescore):
@@ -372,7 +390,10 @@ def com_t_pair(net, profile, task, src, dst, rng=None):
     if k == 0 or src == dst:
         return 0.0, delay_sum()
     route = shortest_comm_path(net, src, dst)
-    constant = 2 * k * sum(link.constant_time for link in route.links)
+    constant = 0.0
+    for link in route.links:  # left to right: sum() of floats compensates from Python 3.12 on
+        constant += link.constant_time
+    constant *= 2 * k
     dist = delay_sum(constant, [ErlangDelay(2 * k, link.delay.rate) for link in route.links])
     return (delay_mean(dist) if rng is None else sample_delay(dist, rng)), dist
 
@@ -515,7 +536,6 @@ def pi_init_rows(sl, nodes, exec_times, incapable=(), net=None, assignment=None,
 
     pi = np.zeros((n_rows, n_nodes))
     for r in sl.topo:
-        v = sl.order[r]
         total = et[r].sum()
         a1 = np.where(et[r] != 0, 1.0 - et[r] / total, 1.0) if total > 0 else np.ones(n_nodes)
         kappa = np.zeros(n_nodes)
@@ -528,8 +548,9 @@ def pi_init_rows(sl, nodes, exec_times, incapable=(), net=None, assignment=None,
         a2 = np.where(kappa != 0, 1.0 - kappa / total, 1.0) if total > 0 else np.ones(n_nodes)
         raw = a1 * a2 * capable[r]
         mass = raw.sum()
-        if mass <= 0:
-            raise DegenerateRow(f"row for {v} has no positive mass")
+        if mass <= 0:  # no pull anywhere: the capable nodes share the row evenly
+            raw = capable[r].astype(float)
+            mass = raw.sum()
         pi[r] = raw / mass
     pr = np.divide(1.0, et, out=np.zeros_like(et), where=et > 0)
     return CapabilityState(sl, nodes, pi, pi.copy(), capable, pr, pred_index, ct, step)

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from hyperalloc.allocator import NO_CAPABLE_NODE, allocate, commit_decision
+from hyperalloc.allocator import NO_CAPABLE_NODE, NodeSchedule, allocate, commit_decision
 from hyperalloc.delays import delay_mean, sample_delay, substream
 from hyperalloc.graphs import (
     build_graph,
@@ -247,9 +247,6 @@ def test_08_perturbation_invariants():
                     return 0.0
                 return score
 
-            def lib_rescore(entry, new_start):
-                return pure_rescore(entry.task, entry.score, entry.duration, new_start)
-
             def rows_for(task):
                 return [
                     (label, idx, {Subspace.COMM: value}, combine_values([check_score(Subspace.COMM, value)]))
@@ -260,13 +257,13 @@ def test_08_perturbation_invariants():
             def duration_fn(task, label):
                 return durations[(task, label)]
 
-            schedules = {label: [] for label in labels}
+            schedules = {label: NodeSchedule() for label in labels}
             t = 0.0
             for i, task in enumerate(tasks):
                 t += rng.choice((0.0, 0.25, 0.5, 1.0, 1.5))
                 snapshot = {
-                    label: [(e.task, e.t_s, e.t_e, e.score) for e in entries]
-                    for label, entries in schedules.items()
+                    label: [(e.task, e.t_s, e.t_e, e.score) for e in schedule.entries()]
+                    for label, schedule in schedules.items()
                 }
                 decision = allocate(
                     task,
@@ -276,7 +273,6 @@ def test_08_perturbation_invariants():
                     duration_fn,
                     windows[task],
                     schedules,
-                    lib_rescore,
                 )
                 expect = oracle_decide(
                     candidates,
@@ -308,7 +304,8 @@ def test_08_perturbation_invariants():
                         assert new > old
 
                 commit_decision(decision, schedules)
-                for entries in schedules.values():
+                for schedule in schedules.values():
+                    entries = schedule.entries()
                     for a, b in zip(entries, entries[1:]):
                         assert a.t_s <= b.t_s
                         assert a.t_e <= b.t_s

@@ -215,7 +215,6 @@ TOKENS = [
 DOCUMENTED = (
     "busy time must be positive and finite",
     "round-trip totals to the hosts of flow predecessors",
-    "has no positive mass",
 )
 
 

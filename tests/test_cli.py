@@ -208,6 +208,22 @@ def test_round_trip_totals_overflowing_in_capability_scoring_exit_2(capsys, tmp_
     assert err == "error: round-trip totals to the hosts of flow predecessors can overflow to infinity\n"
 
 
+def test_single_node_with_capability_scoring_exits_0(capsys, tmp_path):
+    # the lone node has no relative speed: it takes every capability row whole
+    scn = tmp_path / "cplt.scn"
+    text = (SCENARIO_DIR / "minimal.scn").read_text(encoding="utf-8")
+    assert "subspaces cmpt,comm\n" in text
+    scn.write_text(text.replace("subspaces cmpt,comm\n", ""), encoding="utf-8")
+    runs = [invoke(capsys, "allocate", "--scenario", str(scn), "--format", "jsonl") for _ in range(2)]
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert code == 0 and err == ""
+    meta, decision, _ = map(json.loads, out.splitlines())
+    assert meta["subspaces"] == ["cmpt", "comm", "cplt"] and meta["convergence"]["T1"]["converged"]
+    (candidate,) = decision["candidates"]
+    assert candidate["scores"]["cplt"] == 1.0 and decision["chosen"] == "N1"
+
+
 def test_infinite_tol_is_rejected(capsys, tmp_path):
     bad = tmp_path / "bad.scn"
     text = (SCENARIO_DIR / "minimal.scn").read_text(encoding="utf-8")

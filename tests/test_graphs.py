@@ -18,6 +18,7 @@ from hyperalloc.graphs import (
     flow_predecessors,
     max_flow_length,
     to_semilattice,
+    weak_component_count,
 )
 
 from _oracles import (
@@ -218,3 +219,16 @@ def test_cost_matrix_columns_match_scalar_oracle():
             vector = [0.0 if v.is_virtual else row[v.index - 1] for v in sl.order]
             scalar = flow_critical_cost(sl, vector)
             assert type(scalar) is float and scalar == want
+
+
+def test_weak_component_count_matches_the_lifted_components():
+    rng = random.Random(1301)
+    counts = set()
+    for _ in range(300):
+        n, edges = random_dag(rng, max_vertices=12, p=rng.choice((0.05, 0.15, 0.35)))
+        rng.shuffle(edges)
+        edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]  # direction does not matter
+        want = len(to_semilattice(build_graph(n, [(min(e), max(e)) for e in edges])).components)
+        assert weak_component_count(n, edges) == want
+        counts.add(want)
+    assert {1, 2, 3} <= counts

@@ -156,19 +156,29 @@ def test_incapable_entries_stay_zero():
 
 
 def test_degenerate_rows_raise():
-    sl = to_semilattice(build_graph(1, []))
-    with pytest.raises(DegenerateRow):
-        pi_init(sl, ("N",), {"N": [3.0]})  # single node: relative speed vanishes
     sl2 = to_semilattice(build_graph(2, [(1, 2)]))
-    with pytest.raises(DegenerateRow):
+    with pytest.raises(DegenerateRow, match="has no capable node"):
         pi_init(sl2, ("X", "Y"), {"X": [1, 1], "Y": [1, 1]}, incapable=(("X", 1), ("Y", 1)))
-    # A2 (one level above A1) comes before the lone A3 in topological order,
-    # and a row-by-row fill stops at the first row without mass.
-    sl3 = to_semilattice(build_graph(3, [(1, 2)]))
-    assert sl3.topo.index(sl3.position[algorithm(2)]) < sl3.topo.index(sl3.position[algorithm(3)])
+
+
+def test_rows_without_pull_are_shared_evenly_by_their_capable_nodes():
+    # a single node: relative speed vanishes, and the node takes every row
+    state = pi_init(to_semilattice(build_graph(1, [])), ("N",), {"N": [3.0]})
+    assert state.pi.tolist() == [[1.0]] * 3
     # X holds all the time of A2 and A3, so its first factor there is 0, and Y is incapable
-    with pytest.raises(DegenerateRow, match="row for A2 "):
-        pi_init(sl3, ("X", "Y"), {"X": [1, 2, 3], "Y": [3, 0, 0]}, incapable=(("Y", 2), ("Y", 3)))
+    sl3 = to_semilattice(build_graph(3, [(1, 2)]))
+    state = pi_init(sl3, ("X", "Y"), {"X": [1, 2, 3], "Y": [3, 0, 0]}, incapable=(("Y", 2), ("Y", 3)))
+    for v in (2, 3):
+        assert state.pi[sl3.position[algorithm(v)]].tolist() == [1.0, 0.0]
+    # A1 leans to B, where A2's flow predecessor then sits: A's round trip
+    # zeroes A's second factor on A2, and B's share of A2's time its first
+    net = NetworkModel([("A", "robot"), ("B", "fog")], [Link("A", "B", 1.0, ExponentialDelay(1.0))])
+    sl2 = to_semilattice(build_graph(2, [(1, 2)]))
+    state = pi_init(sl2, ("A", "B"), {"A": [5.0, 0.0], "B": [0.0, 5.0]}, net=net)
+    assert state.pi[sl2.position[algorithm(1)]].tolist() == [0.0, 1.0]
+    assert state.pi[sl2.position[algorithm(2)]].tolist() == [0.5, 0.5]
+    pi_limit(state, tol=1e-12, max_iter=50)
+    assert np.all(np.abs(state.pi.sum(axis=1) - 1.0) <= 1e-12)
 
 
 def test_pi_init_validation():
@@ -333,10 +343,6 @@ def random_networked_states(rng, count):
                   net=net, **extra):
             return init(sl, nodes, exec_times, incapable=incapable, net=net, **extra)
 
-        try:
-            build()
-        except DegenerateRow:
-            continue
         builders.append(build)
     return builders
 
@@ -401,17 +407,14 @@ def test_pi_init_matches_per_row_reference_bit_for_bit():
         plain = build()
         deep += max(map(len, predecessor_rows(plain))) >= 4
         for extra in init_variants(rng, plain):
-            try:
-                ref = build(pi_init_rows, **extra)
-            except DegenerateRow as expected:
-                with pytest.raises(DegenerateRow) as raised:
-                    build(**extra)
-                assert str(raised.value) == str(expected)
-                degenerate += 1
-                continue
+            ref = build(pi_init_rows, **extra)
             ours = build(**extra)
             for name in ("pi", "capital", "pred_index", "pr", "ct"):
                 assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
+            # a row without mass goes whole to its one capable node, the first
+            for v in {v for _, v in extra.get("incapable", ())}:
+                assert ours.pi[ours.sl.position[algorithm(v)]].tolist() == [1.0] + [0.0] * (len(ours.nodes) - 1)
+                degenerate += 1
     assert degenerate and deep
 
 
