@@ -20,11 +20,15 @@ visible in the final schedule.  Both new entries go in right before the
 first entry that ends after the task's start, so an insertion past the
 last end is an append.
 
-A decision ranks candidate nodes by combined subspace score, preferring,
-among the best, candidates that perturb nothing, and otherwise the one
-whose perturbation loss is smallest; remaining ties go to the lowest node
-index.  The loss of a candidate is the summed strict score drop over the
-entries its insertion would shift, added left to right.
+A decision ranks candidate nodes by combined subspace score; among the
+best it takes the one whose perturbation loss is smallest, then the
+lowest node index.  The loss of a candidate is the summed strict score
+drop over the entries its insertion would shift, added left to right, so
+it is 0 exactly when nothing drops and the winner is then non-perturbing.
+Each candidate's :class:`ImpactReport` lives only inside :func:`allocate`:
+the decision records each candidate's slot and loss as Python floats and
+carries the winner's report to :func:`commit_decision`, which applies it
+and clears the field.
 """
 
 from __future__ import annotations
@@ -128,33 +132,30 @@ class NodeSchedule:
 
 @dataclass(slots=True)
 class ImpactReport:
-    """Effect of inserting one task into one node's schedule.
+    """Effect of inserting one task into one node's schedule, read only by
+    :func:`allocate` and :func:`commit_decision`.
 
-    ``start`` and ``end`` are the new task's slot.  ``first`` is the
-    0-based position of the first entry ending after ``start``, where the
-    new entries go in (an idle filler, if any, then the task).  The
-    displaced entries form one contiguous run from ``first`` (the
-    schedule is sorted by start without overlaps, so once an entry keeps
-    its slot every later one does): ``new_starts`` holds their new starts
-    and ``schedule`` the schedule they belong to.  After
+    ``start`` and ``end`` are the new task's slot, as Python floats.
+    ``first`` is the 0-based position of the first entry ending after
+    ``start``, where the new entries go in (an idle filler, if any, then
+    the task).  The displaced entries form one contiguous run from
+    ``first`` (the schedule is sorted by start without overlaps, so once
+    an entry keeps its slot every later one does): ``new_starts`` holds
+    their new starts and ``schedule`` the schedule they belong to.  After
     :func:`reallocation_loss`, ``dropped`` holds the positions within the
-    run whose score strictly drops (each ends past its deadline) and
-    ``loss`` their summed score.  A report that displaces nothing shares
-    the empty defaults.  ``affected`` is a read-only list of (1-based
-    index, old start, new start) and ``nv`` the set of 1-based indices of
-    the drops; ``affected`` reads the entries' current starts, so take it
-    before the decision is committed.  ``start``, ``end`` and ``loss`` are
-    Python floats.
+    run whose score strictly drops (each ends past its deadline).  A
+    report that displaces nothing shares the empty defaults.
+    ``affected`` is a read-only list of (1-based index, old start, new
+    start); it reads the entries' current starts, so take it before the
+    decision is committed.
     """
 
-    node: str
     start: float
     end: float
     first: int = 0
     new_starts: np.ndarray = ()
     schedule: NodeSchedule | None = None
     dropped: np.ndarray = ()
-    loss: float = 0.0
 
     @property
     def affected(self) -> list:
@@ -164,21 +165,22 @@ class ImpactReport:
         old_starts = self.schedule.t_s[first:stop].tolist()
         return list(zip(range(first + 1, stop + 1), old_starts, self.new_starts.tolist()))
 
-    @property
-    def nv(self) -> set:
-        return {self.first + 1 + int(i) for i in self.dropped}
-
 
 @dataclass(slots=True)
 class CandidateReport:
+    """One candidate of a decision.  ``start`` and ``end`` are the slot it
+    would take and ``loss`` the score its insertion would cost, as Python
+    floats; an inadmissible candidate has no slot (``None``)."""
+
     node: str
     node_idx: int
     scores: dict
     combined: float
     admissible: bool
     exclusion: str | None = None
-    impact: ImpactReport | None = None
     loss: float = 0.0
+    start: float | None = None
+    end: float | None = None
 
 
 @dataclass
@@ -190,6 +192,7 @@ class AllocationDecision:
     rationale: str
     candidates: list
     deadline: float = math.inf  # the task's window end, which its schedule entry keeps
+    impact: ImpactReport | None = None  # the chosen candidate's, until commit_decision applies it
 
 
 def schedule_impact(schedule, task, duration, arrival, window=(0.0, math.inf), node="") -> ImpactReport:
@@ -225,7 +228,7 @@ def schedule_impact(schedule, task, duration, arrival, window=(0.0, math.inf), n
     if start >= last_end:  # the slot follows every entry
         if end == math.inf:
             raise WindowViolation(f"task {task} would push {node or 'the schedule'} past the largest finite time")
-        return ImpactReport(node, start, end, n)
+        return ImpactReport(start, end, n)
 
     # every entry ending after the new slot starts has not started by the arrival
     first = int(schedule.t_e[:n].searchsorted(start, "right"))
@@ -240,8 +243,8 @@ def schedule_impact(schedule, task, duration, arrival, window=(0.0, math.inf), n
     if frontiers[moved] == math.inf:  # the new slot's end, or the last shifted entry's new end
         raise WindowViolation(f"task {task} would push {node or 'the schedule'} past the largest finite time")
     if moved:
-        return ImpactReport(node, start, end, first, frontiers[:moved], schedule)
-    return ImpactReport(node, start, end, first)
+        return ImpactReport(start, end, first, frontiers[:moved], schedule)
+    return ImpactReport(start, end, first)
 
 
 def reallocation_loss(report: ImpactReport) -> float:
@@ -249,21 +252,21 @@ def reallocation_loss(report: ImpactReport) -> float:
 
     A shifted entry drops to score 0 when its new end passes its deadline;
     only an entry that still scores above 0 loses anything.  The drops'
-    positions go to ``report.dropped`` and their sum, added left to right,
-    to ``report.loss``.  A schedule with no finite deadline loses nothing.
+    positions go to ``report.dropped``; their sum, added left to right, is
+    returned.  A schedule with no finite deadline loses nothing.
     """
     new_starts = report.new_starts
     schedule = report.schedule
     if schedule is None or not schedule.timed:
-        return report.loss
+        return 0.0
     run = slice(report.first, report.first + len(new_starts))
     late = new_starts + (schedule.t_e[run] - schedule.t_s[run]) > schedule.deadline[run]
     scores = schedule.score[run]
     dropped = np.flatnonzero(late & (scores > 0))
-    if len(dropped):
-        report.dropped = dropped
-        report.loss = float(np.add.accumulate(scores[dropped])[-1])
-    return report.loss
+    if not len(dropped):
+        return 0.0
+    report.dropped = dropped
+    return float(np.add.accumulate(scores[dropped])[-1])
 
 
 def allocate(task, arrival, arrival_idx, rows, duration_fn, window, schedules) -> AllocationDecision:
@@ -276,10 +279,13 @@ def allocate(task, arrival, arrival_idx, rows, duration_fn, window, schedules) -
     occupy on that node; ``schedules`` maps each label to its
     :class:`NodeSchedule`.  Candidates scoring zero or violating the task
     window are recorded but inadmissible.  Among admissible candidates
-    the maximal combined score wins; score ties prefer non-perturbing
-    placements, then strictly minimal loss, then the lowest node index.
+    the maximal combined score wins; score ties go to the smallest loss,
+    then the lowest node index.  The rationale is ``max-score`` for a
+    unique best score, else ``non-perturbing`` when the winner loses
+    nothing and ``min-loss`` when it does.
     """
     reports = []
+    impacts = []  # (candidate, its ImpactReport) of every admissible candidate
     for label, idx, scores, combined in rows:
         if combined == 0:
             reports.append(CandidateReport(label, idx, scores, combined, False, "zero-score"))
@@ -291,32 +297,31 @@ def allocate(task, arrival, arrival_idx, rows, duration_fn, window, schedules) -
             reports.append(CandidateReport(label, idx, scores, combined, False, "window-violation"))
             continue
         loss = reallocation_loss(impact)
-        reports.append(CandidateReport(label, idx, scores, combined, True, None, impact, loss))
+        candidate = CandidateReport(label, idx, scores, combined, True, None, loss, impact.start, impact.end)
+        reports.append(candidate)
+        impacts.append((candidate, impact))
 
     deadline = window[1]
-    admissible = [c for c in reports if c.admissible]
-    if not admissible:
+    if not impacts:
         return AllocationDecision(task, arrival, arrival_idx, None, NO_CAPABLE_NODE, reports, deadline)
-
-    best = max(c.combined for c in admissible)
-    top = [c for c in admissible if c.combined == best]
+    best = max(c.combined for c, _ in impacts)
+    top = [pair for pair in impacts if pair[0].combined == best]
+    chosen, impact = min(top, key=lambda pair: (pair[0].loss, pair[0].node_idx))
     if len(top) == 1:
-        return AllocationDecision(task, arrival, arrival_idx, top[0].node, MAX_SCORE, reports, deadline)
-    quiet = [c for c in top if not len(c.impact.dropped)]  # no entry displaced, or none loses score
-    if quiet:
-        chosen = min(quiet, key=lambda c: c.node_idx)
-        return AllocationDecision(task, arrival, arrival_idx, chosen.node, NON_PERTURBING, reports, deadline)
-    chosen = min(top, key=lambda c: (c.loss, c.node_idx))
-    return AllocationDecision(task, arrival, arrival_idx, chosen.node, MIN_LOSS, reports, deadline)
+        rationale = MAX_SCORE
+    else:  # a dropped entry scored above 0, so the loss is 0 exactly when nothing drops
+        rationale = NON_PERTURBING if chosen.loss == 0 else MIN_LOSS
+    return AllocationDecision(task, arrival, arrival_idx, chosen.node, rationale, reports, deadline, impact)
 
 
 def commit_decision(decision: AllocationDecision, schedules) -> None:
-    """Apply a decision to the schedules: shifts, score drops, idle filler, insertion."""
-    if decision.chosen is None:
+    """Apply a decision's impact to the schedules (shifts, score drops, idle
+    filler, insertion) and drop the decision's reference to it."""
+    impact = decision.impact
+    if impact is None:
         return
-    winner = next(c for c in decision.candidates if c.node == decision.chosen)
-    impact = winner.impact
-    schedule = schedules[winner.node]
+    decision.impact = None
+    schedule = schedules[decision.chosen]
     start, end, first = impact.start, impact.end, impact.first
     if len(impact.new_starts):
         run = slice(first, first + len(impact.new_starts))
@@ -331,4 +336,5 @@ def commit_decision(decision: AllocationDecision, schedules) -> None:
     if waited_from < start:
         schedule.insert(first, IDLE_TASK, waited_from, start, forced_idle=True)
         first += 1
-    schedule.insert(first, decision.task, start, end, winner.combined, decision.deadline)
+    score = next(c.combined for c in decision.candidates if c.node == decision.chosen)
+    schedule.insert(first, decision.task, start, end, score, decision.deadline)

@@ -79,6 +79,11 @@ def main(argv=None) -> int:
         else:
             build = {"flows": inspect_flows, "pi": inspect_pi, "routes": inspect_routes}
             text = json.dumps(build[args.what](scenario), indent=2) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except ScenarioError as exc:
         for issue in exc.issues:
             print(f"{args.scenario}: {issue}", file=sys.stderr)
@@ -86,12 +91,6 @@ def main(argv=None) -> int:
     except (HyperallocError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -46,16 +46,17 @@ def _pad(rows) -> list:
 
 
 def _table(report: RunReport) -> str:
-    names = [s.value for s in report.subspaces]
+    opts = report.options
+    names = [s.value for s in opts.subspaces]
     lines = [
         # scoring is serial; "threads=1" stays so the header keeps its fields
         "run seed={} mode={} subspaces={} step={} tol={} max_iter={} threads=1".format(
-            report.seed,
-            report.mode,
+            opts.seed,
+            opts.mode,
             ",".join(names),
-            _g(report.step),
-            _g(report.tol),
-            report.max_iter,
+            _g(opts.step),
+            _g(opts.tol),
+            opts.max_iter,
         )
     ]
 
@@ -69,7 +70,7 @@ def _table(report: RunReport) -> str:
             rows.append(
                 [
                     c.node,
-                    *[_g(c.scores[s]) for s in report.subspaces],
+                    *[_g(c.scores[s]) for s in opts.subspaces],
                     _g(c.combined),
                     _g(c.loss),
                     note,
@@ -123,16 +124,17 @@ def _jsonl(report: RunReport) -> str:
             out = texts[id(value)] = render(value)
         return out
 
+    opts = report.options
     lines = [
         _dump(
             {
                 "record": "meta",
-                "seed": report.seed,
-                "mode": report.mode,
-                "subspaces": [s.value for s in report.subspaces],
-                "step": report.step,
-                "tol": report.tol,
-                "max_iter": report.max_iter,
+                "seed": opts.seed,
+                "mode": opts.mode,
+                "subspaces": [s.value for s in opts.subspaces],
+                "step": opts.step,
+                "tol": opts.tol,
+                "max_iter": opts.max_iter,
                 "threads": 1,  # scoring is serial; the key stays for report readers
                 "convergence": report.convergence,
                 "warnings": report.warnings,
@@ -163,8 +165,8 @@ def _jsonl(report: RunReport) -> str:
                                 "admissible": c.admissible,
                                 "exclusion": c.exclusion,
                                 "loss": c.loss,
-                                "start": c.impact.start if c.impact else None,
-                                "end": c.impact.end if c.impact else None,
+                                "start": c.start,
+                                "end": c.end,
                             }
                             for c in d.candidates
                         ],
@@ -180,13 +182,11 @@ def _jsonl(report: RunReport) -> str:
                 head = heads[key] = '{"node":%s,"idx":%s,"scores":%s,"combined":%s' % (
                     text(c.node), text(c.node_idx), text(c.scores), text(c.combined)
                 )
-            impact = c.impact
             parts.append(
                 '%s,"admissible":%s,"exclusion":%s,"loss":%s,"start":%s,"end":%s}' % (
-                    head, text(c.admissible), text(c.exclusion), text(c.loss),
-                    text(impact.start) if impact else "null",
+                    head, text(c.admissible), text(c.exclusion), text(c.loss), text(c.start),
                     # an end is new for nearly every candidate: no memo entry for it
-                    render(impact.end) if impact else "null",
+                    "null" if c.end is None else render(c.end),
                 )
             )
         lines.append(
@@ -229,7 +229,7 @@ def _csv(report: RunReport) -> str:
                 rationale = d.rationale
             else:
                 rationale = c.exclusion or ""
-            for s in report.subspaces:
+            for s in report.options.subspaces:
                 writer.writerow(
                     [
                         d.task,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import gc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,12 +55,7 @@ class EngineError(HyperallocError):
 
 @dataclass
 class RunReport:
-    seed: int
-    mode: str
-    subspaces: tuple
-    step: float
-    tol: float
-    max_iter: int
+    options: RunOptions  # the checked options of the run
     decisions: list = field(default_factory=list)
     schedules: dict = field(default_factory=dict)
     convergence: dict = field(default_factory=dict)  # task -> iterations/converged
@@ -68,12 +63,17 @@ class RunReport:
 
 
 class _Engine:
-    def __init__(self, sc: Scenario, opts: RunOptions):
+    def __init__(self, sc: Scenario, **overrides):
+        """Check the options, each override replacing the scenario's own,
+        then the scenario's content, and compile the models."""
+        self.opts = RunOptions()
+        for option in fields(RunOptions):
+            value = overrides.get(option.name)
+            set_option(self.opts, option.name, getattr(sc.options, option.name) if value is None else value)
         issues = check_scenario(sc)
         if issues:
             raise unlocated_error(issues)
         self.sc = sc
-        self.opts = opts
         self.net = NetworkModel(sc.nodes, [Link(a, b, c, ExponentialDelay(lam)) for a, b, c, lam in sc.links])
         self.labels = tuple(ref.label for ref in self.net.ordered)
         self.profile = RequestProfile(sc.requests)
@@ -229,11 +229,7 @@ def run(
     makes no reference cycles, and restored afterwards, also on error.
     The pause is process-wide: it holds for other threads too.
     """
-    opts = RunOptions()
-    overrides = dict(mode=mode, seed=seed, subspaces=subspaces, step=step, tol=tol, max_iter=max_iter)
-    for name, value in overrides.items():
-        set_option(opts, name, getattr(scenario.options, name) if value is None else value)
-    engine = _Engine(scenario, opts)
+    engine = _Engine(scenario, mode=mode, seed=seed, subspaces=subspaces, step=step, tol=tol, max_iter=max_iter)
     schedules = {label: NodeSchedule() for label in engine.labels}
     decisions = []
     collecting = gc.isenabled()
@@ -249,12 +245,7 @@ def run(
         if collecting:
             gc.enable()
     return RunReport(
-        seed=opts.seed,
-        mode=opts.mode,
-        subspaces=opts.subspaces,
-        step=opts.step,
-        tol=opts.tol,
-        max_iter=opts.max_iter,
+        options=engine.opts,
         decisions=decisions,
         schedules={label: schedule.entries() for label, schedule in schedules.items()},
         convergence=engine.convergence,
@@ -268,7 +259,7 @@ def _vertex_name(spec, v) -> str:
 
 def inspect_flows(scenario: Scenario) -> dict:
     """Execution flows of every task, in emission order."""
-    engine = _Engine(scenario, scenario.options)
+    engine = _Engine(scenario)
     out = {}
     for task_id, spec in scenario.tasks.items():
         sl = engine.lattices[task_id]
@@ -283,7 +274,7 @@ def inspect_flows(scenario: Scenario) -> dict:
 
 def inspect_pi(scenario: Scenario) -> dict:
     """Converged allocation probabilities and worst-flow transmission bound."""
-    engine = _Engine(scenario, scenario.options)
+    engine = _Engine(scenario)
     dt = round_trip_matrix(engine.net)
     out = {}
     for task_id, spec in scenario.tasks.items():
@@ -303,7 +294,7 @@ def inspect_pi(scenario: Scenario) -> dict:
 
 def inspect_routes(scenario: Scenario) -> list:
     """Cheapest route between every node pair, lowest indices first."""
-    net = _Engine(scenario, scenario.options).net
+    net = _Engine(scenario).net
     routes = []
     for a in net.ordered:
         for b in net.ordered:

@@ -442,16 +442,17 @@ def check_scenario(sc: Scenario) -> list:
     if not sc.nodes:
         bad(None, "at least one node is required")
         return issues
-    nodes = {}  # label -> None, in declaration order
+    nodes = {}  # label -> 1-based position, in declaration order
     for i, (label, kind) in enumerate(sc.nodes):
         if kind not in NODE_KINDS:
             bad(("node", i, "kind"), f"unknown node kind {kind!r}")
         if label in nodes:
             bad(("node", i), f"duplicate node {label}", "duplicate")
-        nodes[label] = None
+        else:
+            nodes[label] = len(nodes) + 1
 
     pairs = set()
-    adjacency = {label: set() for label in nodes}
+    edges = []  # by node position
     for i, (a, b, c, lam) in enumerate(sc.links):
         if not (math.isfinite(c) and math.isfinite(lam)):
             bad(("link", i, "c"), "link parameters must be finite numbers")
@@ -468,15 +469,8 @@ def check_scenario(sc: Scenario) -> list:
             bad(("link", i), f"duplicate link {a} {b}", "duplicate")
         pairs.add(frozenset((a, b)))
         if a in nodes and b in nodes:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    seen = {next(iter(nodes))}
-    frontier = list(seen)
-    while frontier:
-        new = adjacency[frontier.pop()] - seen
-        seen |= new
-        frontier += new
-    if len(seen) != len(nodes):
+            edges.append((nodes[a], nodes[b]))
+    if weak_component_count(len(nodes), edges) != 1:
         bad(("network",), "network is not connected")
 
     for key, k in sc.requests.items():

@@ -291,6 +291,11 @@ def reallocation_loss_full(report, scorer):
     return report.loss
 
 
+def nv(report):
+    """The 1-based schedule indices of an ``allocator.ImpactReport``'s score drops."""
+    return {report.first + 1 + int(i) for i in report.dropped}
+
+
 def commit_decision_full(decision, schedules):
     """Reference for ``allocator.commit_decision``: full scans and list splicing.
 
@@ -301,7 +306,7 @@ def commit_decision_full(decision, schedules):
     if decision.chosen is None:
         return
     winner = next(c for c in decision.candidates if c.node == decision.chosen)
-    impact = winner.impact
+    impact = decision.impact
     schedule = schedules[winner.node]
     before = [e for e in schedule if e.t_e <= impact.start]
     after = [e for e in schedule if e.t_e > impact.start]
@@ -612,12 +617,12 @@ def jsonl_records(report):
     records = [
         {
             "record": "meta",
-            "seed": report.seed,
-            "mode": report.mode,
-            "subspaces": [s.value for s in report.subspaces],
-            "step": report.step,
-            "tol": report.tol,
-            "max_iter": report.max_iter,
+            "seed": report.options.seed,
+            "mode": report.options.mode,
+            "subspaces": [s.value for s in report.options.subspaces],
+            "step": report.options.step,
+            "tol": report.options.tol,
+            "max_iter": report.options.max_iter,
             "threads": 1,
             "convergence": report.convergence,
             "warnings": report.warnings,
@@ -633,8 +638,8 @@ def jsonl_records(report):
                 "admissible": c.admissible,
                 "exclusion": c.exclusion,
                 "loss": c.loss,
-                "start": c.impact.start if c.impact else None,
-                "end": c.impact.end if c.impact else None,
+                "start": c.start,
+                "end": c.end,
             }
             for c in d.candidates
         ]

@@ -44,6 +44,7 @@ from _oracles import (
     brute_force_route,
     delay_variance,
     enumerate_flows,
+    nv,
     oracle_decide,
     random_dag,
     random_network,
@@ -287,7 +288,7 @@ def test_08_perturbation_invariants():
                     assert decision.chosen is None
                     assert decision.rationale == NO_CAPABLE_NODE
                 else:
-                    label, rationale, (w_start, w_end, shifts, nv, loss) = expect
+                    label, rationale, (w_start, w_end, shifts, drops, loss) = expect
                     assert decision.chosen == label
                     assert decision.rationale == rationale
                     winner = next(
@@ -295,12 +296,12 @@ def test_08_perturbation_invariants():
                     )
                     admissible = [c for c in decision.candidates if c.admissible]
                     assert winner.combined == max(c.combined for c in admissible)
-                    assert (winner.impact.start, winner.impact.end) == (w_start, w_end)
-                    assert winner.impact.affected == shifts
-                    assert winner.impact.nv == nv
+                    assert (winner.start, winner.end) == (w_start, w_end)
+                    assert decision.impact.affected == shifts
+                    assert nv(decision.impact) == drops
                     assert winner.loss == loss
                     assert winner.loss >= 0.0
-                    for _, old, new in winner.impact.affected:
+                    for _, old, new in decision.impact.affected:
                         assert new > old
 
                 commit_decision(decision, schedules)

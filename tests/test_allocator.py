@@ -23,7 +23,7 @@ from hyperalloc.allocator import (
 )
 from hyperalloc.subspaces import Subspace, check_score, combine_values
 
-from _oracles import commit_decision_full, deadline_rescorer, reallocation_loss_full, schedule_impact_full
+from _oracles import commit_decision_full, deadline_rescorer, nv, reallocation_loss_full, schedule_impact_full
 
 
 def node_schedule(*specs):
@@ -146,9 +146,8 @@ def test_reallocation_loss_counts_strict_drops_only():
     report = schedule_impact(schedule, "t", 2.0, arrival=0.0)
     assert [i for i, _, _ in report.affected] == [1, 2, 3, 4, 5]
     loss = reallocation_loss(report)
-    assert report.nv == {1, 2} and report.dropped.tolist() == [0, 1]
+    assert nv(report) == {1, 2} and report.dropped.tolist() == [0, 1]
     assert loss == 1.0 + 0.5 and type(loss) is float
-    assert report.loss == loss
     assert report.first == 0 and report.new_starts.tolist() == [2.0, 4.0, 6.0, 8.0, 9.0]
 
 
@@ -156,7 +155,7 @@ def test_schedule_without_deadlines_loses_nothing():
     schedule = node_schedule(("a", 0.0, 2.0, 1.0), ("b", 2.0, 4.0, 0.5))
     report = schedule_impact(schedule, "t", 1e300, arrival=0.0)
     assert not schedule.timed and len(report.affected) == 2
-    assert reallocation_loss(report) == 0.0 and report.nv == set()
+    assert reallocation_loss(report) == 0.0 and nv(report) == set()
 
 
 # --------------------------------------------------------- decision rule
@@ -230,6 +229,36 @@ def test_allocate_tie_minimises_loss():
     assert by_node["n2"].loss == 0.4
 
 
+def test_allocate_tie_takes_the_lowest_index_among_candidates_that_lose_nothing():
+    schedules = {
+        "n1": node_schedule(("w", 0.0, 5.0, 1.0, 5.0)),  # loses 1
+        "n2": node_schedule(("x", 0.0, 5.0, 1.0)),  # shifts x, which has no deadline
+        "n3": NodeSchedule(),  # shifts nothing
+        "n4": node_schedule(("y", 0.0, 5.0, 0.4, 5.0)),  # loses 0.4
+        "n5": NodeSchedule(),  # scores below the tie
+    }
+    values = {"n1": 0.7, "n2": 0.7, "n3": 0.7, "n4": 0.7, "n5": 0.5}
+    order = [("n4", 4), ("n3", 3), ("n5", 5), ("n1", 1), ("n2", 2)]
+    decision = decide(schedules, values, dict.fromkeys(values, 2.0), candidates=order)
+    assert (decision.chosen, decision.rationale) == ("n2", NON_PERTURBING)
+    assert decision.impact.start == 0.0 and len(decision.impact.affected) == 1
+    assert [c.loss for c in decision.candidates] == [0.4, 0.0, 0.0, 1.0, 0.0]
+
+
+def test_allocate_tie_where_every_top_candidate_loses_takes_the_least_loss():
+    schedules = {
+        "n1": node_schedule(("w", 0.0, 5.0, 1.0, 5.0)),  # loses 1
+        "n2": node_schedule(("x", 0.0, 5.0, 0.4, 5.0)),  # loses 0.4
+        "n3": node_schedule(("y", 0.0, 5.0, 0.4, 5.0)),  # loses 0.4 too, at a higher index
+        "n4": NodeSchedule(),  # would lose nothing, but scores below the tie
+    }
+    values = {"n1": 0.7, "n2": 0.7, "n3": 0.7, "n4": 0.5}
+    order = [("n3", 3), ("n2", 2), ("n4", 4), ("n1", 1)]
+    decision = decide(schedules, values, dict.fromkeys(values, 2.0), candidates=order)
+    assert (decision.chosen, decision.rationale) == ("n2", MIN_LOSS)
+    assert decision.candidates[1].loss == 0.4 and decision.candidates[1].start == 0.0
+
+
 def test_allocate_full_tie_takes_lowest_index():
     decision = decide(
         {"n1": NodeSchedule(), "n2": NodeSchedule()},
@@ -276,8 +305,8 @@ def test_forced_idle_is_displaceable():
     # placeholder and the first task both shift right
     decision = decide(schedules, {"n1": 0.5}, {"n1": 2.0}, arrival=0.5, task="u", index=1)
     winner = decision.candidates[0]
-    assert (winner.impact.start, winner.impact.end) == (0.5, 2.5)
-    assert winner.impact.affected == [(1, 1.0, 2.5), (2, 5.0, 6.5)]
+    assert (winner.start, winner.end) == (decision.impact.start, decision.impact.end) == (0.5, 2.5)
+    assert decision.impact.affected == [(1, 1.0, 2.5), (2, 5.0, 6.5)]
 
 
 def test_commit_shifts_existing_entries():
@@ -293,8 +322,10 @@ def test_commit_zeroes_the_scores_that_drop_and_keeps_deadlines():
     assert schedules["n1"].timed and schedules["n1"].deadline[0] == 4.0
     run_one(schedules, duration=1.0, score=0.25, task="b", index=1)  # a moves to [1, 3), inside its window
     assert layout(schedules["n1"]) == [("b", 0.0, 1.0, 0.25), ("a", 1.0, 3.0, 0.5)]
-    decision = run_one(schedules, duration=1.5, task="c", index=2)  # a moves to [2.5, 4.5), past 4
-    assert decision.candidates[0].loss == 0.5 and decision.candidates[0].impact.nv == {2}
+    decision = decide(schedules, {"n1": 0.5}, {"n1": 1.5}, task="c", index=2)  # a moves to [2.5, 4.5), past 4
+    assert decision.candidates[0].loss == 0.5 and nv(decision.impact) == {2}
+    commit_decision(decision, schedules)
+    assert decision.impact is None
     assert layout(schedules["n1"]) == [("c", 0.0, 1.5, 0.5), ("b", 1.5, 2.5, 0.25), ("a", 2.5, 4.5, 0.0)]
 
 
@@ -335,14 +366,14 @@ def _place(ours, ref, deadlines, task, arrival, duration, window, score):
         except WindowViolation:
             outcomes.append(None)
             continue
-        loss(impact)
-        outcomes.append(
-            (impact.start.hex(), impact.end.hex(), list(impact.affected), impact.nv, impact.loss.hex())
-        )
+        lost = loss(impact)
+        dropped = nv(impact) if schedule is ours else impact.nv
+        outcomes.append((impact.start.hex(), impact.end.hex(), list(impact.affected), dropped, lost.hex()))
         if schedule is ours:
-            assert type(impact.start) is type(impact.end) is type(impact.loss) is float
-        winner = CandidateReport("n1", 1, {}, score, True, None, impact, impact.loss)
-        commit(AllocationDecision(task, arrival, 0, "n1", MAX_SCORE, [winner], window[1]), {"n1": schedule})
+            assert type(impact.start) is type(impact.end) is type(lost) is float
+        winner = CandidateReport("n1", 1, {}, score, True, None, lost, impact.start, impact.end)
+        decision = AllocationDecision(task, arrival, 0, "n1", MAX_SCORE, [winner], window[1], impact)
+        commit(decision, {"n1": schedule})
     deadlines[task] = window[1]
     assert outcomes[0] == outcomes[1]
     assert _fields(ours.entries()) == _fields(ref)
@@ -419,7 +450,7 @@ def test_report_without_displacement_is_empty():
     for report in quiet:
         assert reallocation_loss(report) == 0.0
         assert report.affected == [] and not (len(report.new_starts) or len(report.dropped))
-        assert report.nv == set() and report.loss == 0.0
+        assert nv(report) == set()
     # the empty runs are the shared defaults, not one array per report
     assert quiet[0].new_starts is quiet[1].new_starts and quiet[0].dropped is quiet[1].dropped
 

@@ -10,7 +10,7 @@ import tempfile
 from operator import setitem
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperalloc.cli import main
@@ -151,6 +151,40 @@ def test_check_accepts_every_shipped_and_benchmark_scenario():
 LABELS = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=4)
 # finite times down to the subnormal; format_scenario writes them by repr
 TIMES = st.floats(min_value=0.0, max_value=1e6, allow_subnormal=True) | st.sampled_from([0.0, 5e-324, 1e-300])
+
+
+def _connected_by_bfs(labels, links):
+    """Whether a breadth-first search from the first node, over the links
+    between declared nodes, reaches every declared node."""
+    adjacency = {label: set() for label in labels}
+    for a, b, _, _ in links:
+        if a in adjacency and b in adjacency:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    seen, frontier = {labels[0]}, [labels[0]]
+    while frontier:
+        for label in adjacency[frontier.pop(0)] - seen:
+            seen.add(label)
+            frontier.append(label)
+    return len(seen) == len(adjacency)
+
+
+NETWORK_GAP = (("network",), "network is not connected", "syntax")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    st.lists(st.sampled_from("ABCDEF"), min_size=1, max_size=8),  # repeats are duplicate nodes
+    st.lists(st.tuples(st.sampled_from("ABCDEFG"), st.sampled_from("ABCDEFG")), max_size=10),  # G is undeclared
+)
+@example(["A", "B", "C"], [("A", "B")])
+@example(["A", "B", "C"], [("C", "B"), ("A", "B")])
+@example(["A", "B"], [("A", "G"), ("G", "B"), ("A", "A")])
+def test_network_gap_is_reported_exactly_when_a_bfs_misses_a_node(labels, pairs):
+    sc = Scenario(nodes=[(label, "robot") for label in labels], links=[(a, b, 1.0, 2.0) for a, b in pairs])
+    issues = check_scenario(sc)
+    assert (NETWORK_GAP in issues) == (not _connected_by_bfs(labels, sc.links))
+    assert issues.count(NETWORK_GAP) <= 1
 
 
 @st.composite

@@ -243,6 +243,15 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [["allocate"], ["inspect", "--what", "routes"]])
+def test_unwritable_out_exits_2_with_one_error_line(capsys, tmp_path, command):
+    target = tmp_path / "no" / "such" / "dir" / "x"
+    code, out, err = invoke(capsys, *command, "--scenario", THREE_ROBOTS, "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
+    assert not target.parent.exists()
+
+
 def test_bad_override_exits_2(capsys):
     code, _, err = invoke(
         capsys, "allocate", "--scenario", THREE_ROBOTS, "--step", "7.0"

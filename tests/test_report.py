@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperalloc.allocator import AllocationDecision, CandidateReport, ImpactReport, ScheduleEntry
+from hyperalloc.allocator import AllocationDecision, CandidateReport, ScheduleEntry
 from hyperalloc.report import emit_report
 from hyperalloc.runner import RunReport, run
-from hyperalloc.scenario import parse_scenario
+from hyperalloc.scenario import RunOptions, parse_scenario
 from hyperalloc.subspaces import Subspace
 
 from _oracles import jsonl_text
@@ -49,12 +49,7 @@ def assert_matches_oracle(report):
 
 def _report(decisions, schedules=None):
     return RunReport(
-        seed=3,
-        mode="expected",
-        subspaces=SUBSPACES,
-        step=0.1,
-        tol=1e-6,
-        max_iter=10,
+        options=RunOptions(seed=3, subspaces=SUBSPACES, max_iter=10),
         decisions=decisions,
         schedules=schedules or {},
     )
@@ -91,19 +86,19 @@ def _edge_case_report():
         (labels[0], 5, {}, math.nan),
     ]
     tails = [
-        (True, None, math.nan, ImpactReport(labels[0], 0, 7)),
-        (False, "window-violation", -math.inf, None),
-        (True, None, -0.0, ImpactReport(labels[2], 1.5, math.inf)),
-        (False, 'zero "score"', 0, None),
-        (True, "échec", 1e-300, ImpactReport(labels[3], -0.0, math.nan)),
-        (True, None, 0.0, ImpactReport(labels[4], 2.0**60, 1e16)),
+        (True, None, math.nan, (0, 7)),
+        (False, "window-violation", -math.inf, (None, None)),
+        (True, None, -0.0, (1.5, math.inf)),
+        (False, 'zero "score"', 0, (None, None)),
+        (True, "échec", 1e-300, (-0.0, math.nan)),
+        (True, None, 0.0, (2.0**60, 1e16)),
     ]
     decisions = []
     for k in range(4):
         candidates = []
         for i, (label, idx, scores, combined) in enumerate(rows[k % 2 :]):
-            admissible, exclusion, loss, impact = tails[(i + k) % len(tails)]
-            candidates.append(CandidateReport(label, idx, scores, combined, admissible, exclusion, impact, loss))
+            admissible, exclusion, loss, (start, end) = tails[(i + k) % len(tails)]
+            candidates.append(CandidateReport(label, idx, scores, combined, admissible, exclusion, loss, start, end))
         chosen = labels[k] if k else None
         decisions.append(AllocationDecision("Té\"", float(k) - 0.5, k, chosen, "max-score", candidates))
     decisions.append(AllocationDecision("empty", math.inf, 4, None, "no-capable-node", []))
@@ -150,16 +145,16 @@ def run_reports(draw):
             max_size=4,
         )
     )
-    impacts = st.none() | st.builds(ImpactReport, LABELS, NUMBERS, NUMBERS)
+    slots = st.just((None, None)) | st.tuples(NUMBERS, NUMBERS)
     decisions = []
     for k in range(draw(st.integers(0, 5))):
         candidates = [
             CandidateReport(
                 label, idx, scores, combined,
-                admissible=draw(st.booleans()),
-                exclusion=draw(st.none() | LABELS),
-                impact=draw(impacts),
-                loss=draw(NUMBERS),
+                draw(st.booleans()),
+                draw(st.none() | LABELS),
+                draw(NUMBERS),
+                *draw(slots),
             )
             for label, idx, scores, combined in draw(st.lists(st.sampled_from(rows), max_size=5))
         ]

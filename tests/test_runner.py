@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import importlib.util
 import math
@@ -5,13 +6,14 @@ import pathlib
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hyperalloc
 from hyperalloc import runner
-from hyperalloc.allocator import MAX_SCORE, NO_CAPABLE_NODE, NON_PERTURBING
+from hyperalloc.allocator import MAX_SCORE, NO_CAPABLE_NODE, NON_PERTURBING, AllocationDecision, ImpactReport
 from hyperalloc.delays import ExponentialDelay
 from hyperalloc.network import Link, NetworkModel, RequestProfile, comm_delays
 from hyperalloc.report import emit_report
@@ -22,10 +24,10 @@ from hyperalloc.runner import (
     inspect_routes,
     run,
 )
-from hyperalloc.scenario import ScenarioError, parse_scenario
+from hyperalloc.scenario import RunOptions, ScenarioError, parse_scenario
 from hyperalloc.subspaces import Subspace, SubspaceError
 
-from _oracles import com_t_pair, critical_cost, oracle_decide, random_dag, score_per_arrival
+from _oracles import com_t_pair, critical_cost, nv, oracle_decide, random_dag, score_per_arrival
 from conftest import scenario_text
 
 
@@ -75,7 +77,7 @@ def test_comm_only_prefers_cheapest_talker(three_robots_comm_only):
     report = run(parse_scenario(three_robots_comm_only))
     decision = report.decisions[0]
     assert decision.chosen == "R3"
-    assert report.subspaces == (Subspace.COMM,)
+    assert report.options.subspaces == (Subspace.COMM,)
     for cand in decision.candidates:
         assert set(cand.scores) == {Subspace.COMM}
 
@@ -83,8 +85,7 @@ def test_comm_only_prefers_cheapest_talker(three_robots_comm_only):
 def test_keyword_overrides(three_robots_comm_only):
     sc = parse_scenario(three_robots_comm_only)
     report = run(sc, subspaces="cmpt", seed=5, step=0.2, tol=1e-5, max_iter=500)
-    assert report.subspaces == (Subspace.CMPT,)
-    assert (report.seed, report.step, report.tol, report.max_iter) == (5, 0.2, 1e-5, 500)
+    assert report.options == RunOptions(seed=5, subspaces=(Subspace.CMPT,), step=0.2, tol=1e-5, max_iter=500)
     decision = report.decisions[0]
     # every robot is compatible, so the selector falls through the tie chain
     assert all(c.combined == 1.0 for c in decision.candidates)
@@ -95,38 +96,49 @@ def test_keyword_overrides(three_robots_comm_only):
 def test_subspace_iterable_is_canonicalised(three_robots):
     sc = parse_scenario(three_robots)
     report = run(sc, subspaces=(Subspace.CPLT, Subspace.CMPT))
-    assert report.subspaces == (Subspace.CMPT, Subspace.CPLT)
+    assert report.options.subspaces == (Subspace.CMPT, Subspace.CPLT)
+
+
+BAD_OPTIONS = [
+    ("mode", "guess", None),
+    ("step", 0.0, None),
+    ("step", 1.5, None),
+    ("step", "x", None),
+    ("tol", 0.0, None),
+    ("tol", math.inf, None),
+    ("max_iter", 0, None),
+    ("max_iter", 1.5, "expected an integer"),
+    ("max_iter", True, "expected an integer"),
+    ("seed", 1.5, None),
+    ("seed", True, None),
+    ("seed", -1, None),
+    ("seed", 2**63, None),
+    ("seed", math.inf, None),
+    # text and iterable selections follow the same rules
+    ("subspaces", "cmpt,whatever", "unknown subspace"),
+    ("subspaces", ["cmpt", "bogus"], "unknown subspace"),
+    ("subspaces", "cmpt,cmpt", "selected twice"),
+    ("subspaces", ["cmpt", "cmpt"], "selected twice"),
+    ("subspaces", (Subspace.CPLT, "cplt"), "selected twice"),
+    ("subspaces", "", "empty subspace selection"),
+    ("subspaces", [], "empty subspace selection"),
+]
 
 
 def test_bad_keyword_overrides(three_robots):
     sc = parse_scenario(three_robots)
-    for kwargs in (
-        {"mode": "guess"},
-        {"step": 0.0},
-        {"step": 1.5},
-        {"tol": 0.0},
-        {"tol": math.inf},
-        {"max_iter": 0},
-        {"max_iter": 1.5},
-        {"max_iter": True},
-        {"seed": 1.5},
-        {"seed": True},
-        {"seed": -1},
-        {"seed": 2**63},
-        {"seed": math.inf},
-    ):
-        with pytest.raises(ValueError):
-            run(sc, **kwargs)
-    # text and iterable selections follow the same rules
-    for subspaces in ("cmpt,whatever", ["cmpt", "bogus"]):
-        with pytest.raises(ValueError, match="unknown subspace"):
-            run(sc, subspaces=subspaces)
-    for subspaces in ("cmpt,cmpt", ["cmpt", "cmpt"], (Subspace.CPLT, "cplt")):
-        with pytest.raises(ValueError, match="selected twice"):
-            run(sc, subspaces=subspaces)
-    for subspaces in ("", []):
-        with pytest.raises(ValueError, match="empty subspace selection"):
-            run(sc, subspaces=subspaces)
+    for name, value, match in BAD_OPTIONS:
+        with pytest.raises(ValueError, match=match):
+            run(sc, **{name: value})
+
+
+@pytest.mark.parametrize("inspect", [inspect_flows, inspect_pi, inspect_routes])
+def test_inspect_checks_options_as_run_does(three_robots, inspect):
+    for name, value, match in BAD_OPTIONS:
+        sc = parse_scenario(three_robots)
+        setattr(sc.options, name, value)
+        with pytest.raises(ValueError, match=match):
+            inspect(sc)
 
 
 def test_run_checks_the_scenario_options(three_robots):
@@ -139,11 +151,11 @@ def test_run_checks_the_scenario_options(three_robots):
         with pytest.raises(ValueError):
             run(sc)
         # an override replaces the value before it is checked
-        assert getattr(run(sc, **{name: getattr(good, name)}), name) == getattr(good, name)
+        assert getattr(run(sc, **{name: getattr(good, name)}).options, name) == getattr(good, name)
     # names given as strings are read as an override reads them
     sc = parse_scenario(three_robots)
     sc.options.subspaces = ("comm", "cmpt")
-    assert run(sc).subspaces == (Subspace.CMPT, Subspace.COMM)
+    assert run(sc).options.subspaces == (Subspace.CMPT, Subspace.COMM)
     assert sc.options.subspaces == ("comm", "cmpt")
 
 
@@ -394,8 +406,8 @@ def test_candidate_rows_match_per_arrival_scoring(monkeypatch, mode, subspaces):
                 assert (decision.chosen, decision.rationale) == (None, NO_CAPABLE_NODE)
             else:
                 winner = next(c for c in decision.candidates if c.node == decision.chosen)
-                impact = winner.impact
-                got = (impact.start, impact.end, impact.affected, impact.nv, winner.loss)
+                impact = decision.impact
+                got = (winner.start, winner.end, impact.affected, nv(impact), winner.loss)
                 assert (decision.chosen, decision.rationale, got) == want
             checked.append(arrival_idx)
             return decision
@@ -537,18 +549,62 @@ def test_busy_time_adds_communication_by_target_label():
 # ------------------------------------------------------ benchmark seams
 
 
+def _perfbench(name):
+    """A module of the benchmark, loaded from its file without changing it."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_probes_reach_every_layer(three_robots):
     """Every layer the benchmark probes is still called, so a refactor that
     drops one of its seams fails here and not only in a benchmark run."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "probes.py"
-    spec = importlib.util.spec_from_file_location("perfbench_probes", path)
-    probes = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(probes)
-    tracer = probes.Tracer()
+    tracer = _perfbench("probes").Tracer()
     with tracer.installed():
         run(parse_scenario(strip_overrides(three_robots)), mode="sample")
     for workload in ("fleet", "backlog", "deepdag"):
         tracer.require(workload)
+
+
+# ------------------------------------------------------ decision records
+
+
+def _numpy_arrays(obj) -> list:
+    """The numpy arrays reachable from ``obj`` through dataclass fields,
+    mappings, lists and tuples."""
+    found, stack, seen = [], [obj], set()
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif dataclasses.is_dataclass(value):
+            stack += [getattr(value, f.name) for f in dataclasses.fields(value)]
+        elif isinstance(value, dict):
+            stack += [*value, *value.values()]
+        elif isinstance(value, (list, tuple)):
+            stack += value
+    return found
+
+
+def test_decisions_keep_no_impact_report_after_the_run():
+    pending = AllocationDecision("t", 0.0, 0, "n1", MAX_SCORE, [], impact=ImpactReport(0.0, 1.0, 0, np.zeros(2)))
+    assert len(_numpy_arrays(pending)) == 1  # the walk does find a report's buffer
+    report = run(parse_scenario(_perfbench("gen").generate("backlog", 1)))
+    assert len(report.decisions) == 1500
+    losses = 0
+    for decision in report.decisions:
+        assert decision.impact is None
+        assert _numpy_arrays(decision) == []
+        for c in decision.candidates:
+            assert (type(c.start), type(c.end)) == ((float, float) if c.admissible else (type(None),) * 2)
+            assert type(c.loss) is float
+            losses += c.loss > 0
+    assert losses  # some insertions shifted entries, so their reports held shifted starts
 
 
 # ------------------------------------------------ garbage-collector pause
@@ -652,7 +708,7 @@ def test_inspect_pi(three_robots):
 
 def test_tasks_share_one_round_trip_matrix():
     sc = parse_scenario(generated_scenario(5))
-    engine = runner._Engine(sc, sc.options)
+    engine = runner._Engine(sc)
     matrices = [engine.capability_state(task_id).ct for task_id in sc.tasks]
     assert len(matrices) == 3
     assert all(ct is runner.round_trip_matrix(engine.net) for ct in matrices)
