@@ -29,13 +29,10 @@ from .delays import (
 from .errors import HyperallocError
 from .graphs import (
     AlgorithmGraph,
-    AlgorithmId,
     CycleDetected,
-    ExecutionFlow,
     FlowExplosion,
     GraphError,
     SemiLattice,
-    algorithm,
     build_graph,
     count_execution_flows,
     execution_flows,

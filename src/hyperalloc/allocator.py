@@ -145,6 +145,10 @@ class ImpactReport:
     :func:`reallocation_loss`, ``dropped`` holds the positions within the
     run whose score strictly drops (each ends past its deadline).  A
     report that displaces nothing shares the empty defaults.
+    ``deadline`` (the task's window end) and ``score`` (its combined
+    score) are set by :func:`allocate` on the winner's report only, and
+    :func:`commit_decision` writes both into the new entry; they are set
+    there, not passed in here, to keep every candidate's report cheap.
     ``affected`` is a read-only list of (1-based index, old start, new
     start); it reads the entries' current starts, so take it before the
     decision is committed.
@@ -156,6 +160,8 @@ class ImpactReport:
     new_starts: np.ndarray = ()
     schedule: NodeSchedule | None = None
     dropped: np.ndarray = ()
+    deadline: float = math.inf
+    score: float = 0.0
 
     @property
     def affected(self) -> list:
@@ -191,7 +197,6 @@ class AllocationDecision:
     chosen: str | None
     rationale: str
     candidates: list
-    deadline: float = math.inf  # the task's window end, which its schedule entry keeps
     impact: ImpactReport | None = None  # the chosen candidate's, until commit_decision applies it
 
 
@@ -301,9 +306,8 @@ def allocate(task, arrival, arrival_idx, rows, duration_fn, window, schedules) -
         reports.append(candidate)
         impacts.append((candidate, impact))
 
-    deadline = window[1]
     if not impacts:
-        return AllocationDecision(task, arrival, arrival_idx, None, NO_CAPABLE_NODE, reports, deadline)
+        return AllocationDecision(task, arrival, arrival_idx, None, NO_CAPABLE_NODE, reports)
     best = max(c.combined for c, _ in impacts)
     top = [pair for pair in impacts if pair[0].combined == best]
     chosen, impact = min(top, key=lambda pair: (pair[0].loss, pair[0].node_idx))
@@ -311,7 +315,9 @@ def allocate(task, arrival, arrival_idx, rows, duration_fn, window, schedules) -
         rationale = MAX_SCORE
     else:  # a dropped entry scored above 0, so the loss is 0 exactly when nothing drops
         rationale = NON_PERTURBING if chosen.loss == 0 else MIN_LOSS
-    return AllocationDecision(task, arrival, arrival_idx, chosen.node, rationale, reports, deadline, impact)
+    # commit-only inputs ride on the report handed over, not on the decision
+    impact.deadline, impact.score = window[1], chosen.combined
+    return AllocationDecision(task, arrival, arrival_idx, chosen.node, rationale, reports, impact)
 
 
 def commit_decision(decision: AllocationDecision, schedules) -> None:
@@ -336,5 +342,4 @@ def commit_decision(decision: AllocationDecision, schedules) -> None:
     if waited_from < start:
         schedule.insert(first, IDLE_TASK, waited_from, start, forced_idle=True)
         first += 1
-    score = next(c.combined for c in decision.candidates if c.node == decision.chosen)
-    schedule.insert(first, decision.task, start, end, score, decision.deadline)
+    schedule.insert(first, decision.task, start, end, impact.score, impact.deadline)

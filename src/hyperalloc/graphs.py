@@ -1,16 +1,16 @@
 """Algorithm dependency graphs lifted into flow lattices.
 
-A task decomposes into algorithms whose data dependencies form a DAG on
-indices 1..n.  For flow analysis each weakly connected component is
-lifted: a virtual start vertex feeds every source of the component and a
-virtual finish vertex drains every sink.  An execution flow is a
-start-to-finish path of the lifted graph; flows are enumerated in
-deterministic lexicographic order of their vertex index sequences.
+A task decomposes into algorithms whose data dependencies form a weakly
+connected DAG on indices 1..n.  For flow analysis the graph is lifted: a
+virtual start vertex feeds every source and a virtual finish vertex
+drains every sink.  An execution flow is a start-to-finish path of the
+lifted graph; flows are enumerated in deterministic lexicographic order
+of their vertex positions.
 
-A lattice's vertices are integer positions: all virtual starts (by
-component), the real algorithms by ascending index, then all virtual
-finishes.  Every pass works on positions; an :class:`AlgorithmId` only
-names one (``sl.order[r]``), where vertices enter or leave the program.
+A lattice's vertices are integer positions, and positions are their only
+names: the start at 0, algorithm i at position i, the finish at n + 1.
+``sl.name(r)`` spells a position out (``start1``, ``A<i>``, ``finish1``)
+where a vertex leaves the program in a message or a report.
 
 Structures built here are treated as immutable and may be shared freely.
 """
@@ -48,35 +48,6 @@ class FlowExplosion(GraphError):
 
 
 @dataclass(frozen=True)
-class AlgorithmId:
-    """The name of a real algorithm (``A<index>``) or a virtual component endpoint.
-
-    Virtual endpoints are numbered by their component (1-based); real
-    vertices carry their algorithm index.
-    """
-
-    index: int
-    is_virtual_top: bool = False
-    is_virtual_bottom: bool = False
-
-    @property
-    def is_virtual(self) -> bool:
-        return self.is_virtual_top or self.is_virtual_bottom
-
-    def __str__(self) -> str:
-        if self.is_virtual_top:
-            return f"start{self.index}"
-        if self.is_virtual_bottom:
-            return f"finish{self.index}"
-        return f"A{self.index}"
-
-
-def algorithm(index: int) -> AlgorithmId:
-    """Shorthand for a real algorithm id."""
-    return AlgorithmId(index)
-
-
-@dataclass(frozen=True)
 class AlgorithmGraph:
     """Validated DAG over real algorithm indices 1..vertex_count.
 
@@ -89,52 +60,39 @@ class AlgorithmGraph:
     pred: tuple
 
 
-@dataclass(frozen=True)
-class Component:
-    """One weakly connected component: the positions of its virtual
-    endpoints and of its real members."""
-
-    top: int
-    bottom: int
-    members: frozenset
-
-
 class SemiLattice:
-    """Lifted graph: per-component virtual tops and bottoms added.
+    """Lifted graph: one virtual start and one virtual finish added.
 
-    Vertices are positions ``0..len(order) - 1``: all virtual tops
-    (component order), real vertices by ascending index (``reals``, so
-    algorithm i sits at ``reals[i - 1]``), then all virtual bottoms.
-    ``order`` names the vertex at each position and ``position`` maps a
-    name back.  ``succ[r]`` and ``pred[r]`` list neighbour positions
-    ascending; ``topo`` is a deterministic topological order.
+    Vertices are positions ``0..size - 1``: the start at ``top = 0``,
+    algorithm i at position i (``reals = range(1, n + 1)``) and the
+    finish at ``bottom = n + 1``.  ``succ[r]`` and ``pred[r]`` list
+    neighbour positions ascending; ``topo`` is a deterministic
+    topological order.
     """
 
-    __slots__ = ("base", "components", "succ", "pred", "order", "position", "reals", "topo")
+    __slots__ = ("base", "succ", "pred", "top", "reals", "bottom", "size", "topo")
 
-    def __init__(self, base, components, succ, pred, order, topo):
+    def __init__(self, base, succ, pred, topo):
+        n = base.vertex_count
         self.base = base
-        self.components = components
         self.succ = succ
         self.pred = pred
-        self.order = order
-        self.position = {v: i for i, v in enumerate(order)}
-        self.reals = range(len(components), len(components) + base.vertex_count)
+        self.top = 0
+        self.reals = range(1, n + 1)
+        self.bottom = n + 1
+        self.size = n + 2
         self.topo = topo
 
+    def name(self, r) -> str:
+        """The name of position ``r``: ``start1``, ``A<i>`` or ``finish1``."""
+        if r == self.top:
+            return "start1"
+        if r == self.bottom:
+            return "finish1"
+        return f"A{r}"
+
     def __repr__(self):
-        return f"SemiLattice(vertices={len(self.order)}, components={len(self.components)})"
-
-
-@dataclass(frozen=True)
-class ExecutionFlow:
-    """One start-to-finish path of a lifted component, as vertex names."""
-
-    vertices: tuple
-    component: int
-
-    def __str__(self) -> str:
-        return " -> ".join(str(v) for v in self.vertices)
+        return f"SemiLattice(vertices={self.size})"
 
 
 def build_graph(vertex_count: int, edges) -> AlgorithmGraph:
@@ -201,52 +159,28 @@ def weak_component_count(vertex_count: int, edges) -> int:
 
 
 def to_semilattice(g: AlgorithmGraph) -> SemiLattice:
-    """Lift each weakly connected component with virtual endpoints.
+    """Lift a weakly connected graph with a virtual start and finish.
 
-    The virtual top points at every in-degree-0 member and every
-    out-degree-0 member points at the virtual bottom.  An isolated vertex
-    gets both edges.  Components are numbered by their lowest index.
+    The start points at every in-degree-0 vertex and every out-degree-0
+    vertex points at the finish; a lone vertex gets both edges.  A graph
+    without vertices, or with more than one weak component, raises
+    GraphError: its lattice would have no single start and finish.
     """
     n = g.vertex_count
-    seen = [False] * (n + 1)
-    raw_components = []
-    for seed in range(1, n + 1):  # each component is seeded at its lowest index
-        if seen[seed]:
-            continue
-        seen[seed] = True
-        members = [seed]
-        for v in members:  # grows while it is walked
-            for w in g.succ[v] + g.pred[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    members.append(w)
-        raw_components.append(sorted(members))
-
-    c = len(raw_components)
-    real = c - 1  # algorithm i sits at position real + i
-    succ = [[] for _ in range(c)] + [[real + w for w in ws] for ws in g.succ[1:]] + [[] for _ in range(c)]
-    pred = [[] for _ in range(c)] + [[real + w for w in ws] for ws in g.pred[1:]] + [[] for _ in range(c)]
-    components = []
-    for k, members in enumerate(raw_components):
-        top, bottom = k, c + n + k
-        for i in members:
-            if not g.pred[i]:
-                succ[top].append(real + i)
-                pred[real + i].insert(0, top)
-            if not g.succ[i]:
-                succ[real + i].append(bottom)
-                pred[bottom].append(real + i)
-        components.append(Component(top, bottom, frozenset(real + i for i in members)))
-
-    order = (
-        tuple(AlgorithmId(k, is_virtual_top=True) for k in range(1, c + 1))
-        + tuple(AlgorithmId(i) for i in range(1, n + 1))
-        + tuple(AlgorithmId(k, is_virtual_bottom=True) for k in range(1, c + 1))
-    )
+    components = weak_component_count(n, [(a, b) for a in range(1, n + 1) for b in g.succ[a]])
+    if components != 1:
+        raise GraphError(f"graph must be weakly connected with at least one vertex, got {components} components")
+    top, bottom = 0, n + 1
+    # algorithm i sits at position i, so the graph's own lists are already positions
+    succ = [tuple(i for i in range(1, n + 1) if not g.pred[i])]
+    succ += [ws or (bottom,) for ws in g.succ[1:]]
+    succ.append(())
+    pred = [()] + [ps or (top,) for ps in g.pred[1:]]
+    pred.append(tuple(i for i in range(1, n + 1) if not g.succ[i]))
 
     # Deterministic topological order: a heap of positions pops the lowest ready one.
     indeg = [len(p) for p in pred]
-    heap = [v for v in range(len(order)) if not indeg[v]]  # ascending, so a heap
+    heap = [top]  # the only vertex without a predecessor
     topo = []
     while heap:
         v = heapq.heappop(heap)
@@ -256,20 +190,21 @@ def to_semilattice(g: AlgorithmGraph) -> SemiLattice:
             if not indeg[w]:
                 heapq.heappush(heap, w)
 
-    return SemiLattice(g, tuple(components), tuple(map(tuple, succ)), tuple(map(tuple, pred)), order, tuple(topo))
+    return SemiLattice(g, tuple(succ), tuple(pred), tuple(topo))
 
 
 def count_execution_flows(sl: SemiLattice) -> int:
-    """Exact number of start-to-finish paths, summed over components."""
-    paths = [0] * len(sl.order)
+    """Exact number of start-to-finish paths."""
+    paths = [0] * sl.size
     for v in reversed(sl.topo):
-        # only virtual bottoms have no successors
+        # only the finish has no successors
         paths[v] = sum(paths[w] for w in sl.succ[v]) if sl.succ[v] else 1
-    return sum(paths[c.top] for c in sl.components)
+    return paths[sl.top]
 
 
 def execution_flows(sl: SemiLattice, cap: int = DEFAULT_FLOW_CAP) -> list:
-    """Enumerate all execution flows in lexicographic vertex-index order.
+    """Enumerate all execution flows, each a tuple of positions from
+    ``sl.top`` to ``sl.bottom``, in lexicographic order.
 
     Raises FlowExplosion when the exact flow count exceeds ``cap`` before
     any path is materialised.
@@ -278,20 +213,19 @@ def execution_flows(sl: SemiLattice, cap: int = DEFAULT_FLOW_CAP) -> list:
     if total > cap:
         raise FlowExplosion(f"{total} execution flows exceed cap {cap}")
     flows = []
-    for ci, comp in enumerate(sl.components, start=1):
-        # Iterative (no recursion limit); ascending successors keep the order.
-        path = [comp.top]
-        pending = [iter(sl.succ[comp.top])]
-        while pending:
-            w = next(pending[-1], None)
-            if w is None:
-                pending.pop()
-                path.pop()
-            elif w == comp.bottom:
-                flows.append(ExecutionFlow(tuple(sl.order[v] for v in (*path, w)), ci))
-            else:
-                path.append(w)
-                pending.append(iter(sl.succ[w]))
+    # Iterative (no recursion limit); ascending successors keep the order.
+    path = [sl.top]
+    pending = [iter(sl.succ[sl.top])]
+    while pending:
+        w = next(pending[-1], None)
+        if w is None:
+            pending.pop()
+            path.pop()
+        elif w == sl.bottom:
+            flows.append((*path, w))
+        else:
+            path.append(w)
+            pending.append(iter(sl.succ[w]))
     return flows
 
 
@@ -300,10 +234,10 @@ def flow_predecessors(sl: SemiLattice, r: int) -> list:
     least one execution flow, ascending.
 
     Equals the real ancestors of ``r`` in the lifted graph: any ancestor
-    extends upward to the component's start and ``r`` always reaches the
-    finish, so some flow passes through both.
+    extends upward to the start and ``r`` always reaches the finish, so
+    some flow passes through both.
     """
-    if not 0 <= r < len(sl.order):
+    if not 0 <= r < sl.size:
         raise UnknownVertex(f"position {r} not in lattice")
     seen = set(sl.pred[r])
     frontier = list(seen)
@@ -316,11 +250,11 @@ def flow_predecessors(sl: SemiLattice, r: int) -> list:
 
 
 def max_flow_length(sl: SemiLattice) -> int:
-    """Edge count of the longest execution flow (0 for an empty lattice)."""
-    dist = [0] * len(sl.order)
+    """Edge count of the longest execution flow."""
+    dist = [0] * sl.size
     for v in sl.topo:
         dist[v] = max((dist[u] + 1 for u in sl.pred[v]), default=0)
-    return max((dist[c.bottom] for c in sl.components), default=0)
+    return dist[sl.bottom]
 
 
 def flow_critical_cost(sl: SemiLattice, vertex_cost=None, edge_cost=None):
@@ -334,9 +268,7 @@ def flow_critical_cost(sl: SemiLattice, vertex_cost=None, edge_cost=None):
     ``base + max(incoming)``).  ``edge_cost(u, v)`` takes positions.  Both
     default to zero.
     """
-    cost = np.zeros(len(sl.order)) if vertex_cost is None else np.asarray(vertex_cost, dtype=float)
-    if not sl.components:
-        return np.zeros(cost.shape[1:]) if cost.ndim > 1 else 0.0
+    cost = np.zeros(sl.size) if vertex_cost is None else np.asarray(vertex_cost, dtype=float)
     column = (-1,) + (1,) * (cost.ndim - 1)  # edge costs broadcast over the k columns
     dist = np.empty_like(cost)
     with np.errstate(over="ignore"):  # an overflow gives inf, as float arithmetic does
@@ -346,5 +278,5 @@ def flow_critical_cost(sl: SemiLattice, vertex_cost=None, edge_cost=None):
             if edge_cost is not None and preds:
                 incoming = incoming + np.reshape([edge_cost(u, v) for u in preds], column)
             dist[v] = cost[v] + (incoming.max(axis=0) if preds else 0.0)
-    best = dist[[c.bottom for c in sl.components]].max(axis=0)
+    best = dist[sl.bottom]
     return best if cost.ndim > 1 else float(best)

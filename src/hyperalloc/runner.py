@@ -20,7 +20,6 @@ from .allocator import NodeSchedule, allocate, commit_decision
 from .delays import ExponentialDelay, delay_mean, substream
 from .errors import HyperallocError
 from .graphs import (
-    algorithm,
     build_graph,
     execution_flows,
     flow_critical_cost,
@@ -92,14 +91,13 @@ class _Engine:
     def capability_state(self, task_id: str):
         """Run a task's capability dynamics and record their convergence, once per task."""
         spec = self.sc.tasks[task_id]
-        assignment = {algorithm(i): label for i, label in spec.assignment.items()}
         state = pi_init(
             self.lattices[task_id],
             self.labels,
             spec.exec_times,
             incapable=spec.incapable,
             net=self.net,
-            assignment=assignment,
+            assignment=spec.assignment,
             step=self.opts.step,
         )
         pi_limit(state, tol=self.opts.tol, max_iter=self.opts.max_iter)
@@ -200,7 +198,7 @@ class _Engine:
         spec = self.sc.tasks[task_id]
         sl = self.lattices[task_id]
         labels = [label for label in self.labels if label in spec.exec_times]
-        cost = np.zeros((len(sl.order), len(labels)))
+        cost = np.zeros((sl.size, len(labels)))
         cost[sl.reals.start : sl.reals.stop] = np.transpose([spec.exec_times[label] for label in labels])
         return dict(zip(labels, flow_critical_cost(sl, cost).tolist()))
 
@@ -253,8 +251,9 @@ def run(
     )
 
 
-def _vertex_name(spec, v) -> str:
-    return str(v) if v.is_virtual else spec.labels[v.index - 1]
+def _vertex_name(spec, sl, r) -> str:
+    """The task's own label of an algorithm's position, else the lattice's name."""
+    return spec.labels[r - 1] if r in sl.reals else sl.name(r)
 
 
 def inspect_flows(scenario: Scenario) -> dict:
@@ -267,7 +266,7 @@ def inspect_flows(scenario: Scenario) -> dict:
         out[task_id] = {
             "count": len(flows),
             "max_length": max_flow_length(sl),
-            "flows": [[_vertex_name(spec, v) for v in f.vertices] for f in flows],
+            "flows": [[_vertex_name(spec, sl, r) for r in flow] for flow in flows],
         }
     return out
 
@@ -282,7 +281,7 @@ def inspect_pi(scenario: Scenario) -> dict:
         sl = engine.lattices[task_id]
         out[task_id] = {
             "nodes": list(state.nodes),
-            "vertices": [_vertex_name(spec, v) for v in sl.order],
+            "vertices": [_vertex_name(spec, sl, r) for r in range(sl.size)],
             "pi": [[float(x) for x in row] for row in state.pi],
             "capital": [[float(x) for x in row] for row in state.capital],
             "iterations": state.iterations,

@@ -6,7 +6,8 @@ A task/node pairing is scored inside three independent subspaces:
 * communication: reciprocal of the worst per-target communication total,
   with zero communication mapping to +inf (perfect stability);
 * capability: product of the running-maximum allocation probabilities of
-  the task's virtual start and finish vertices on that node.
+  the task's virtual start and finish vertices on that node (the
+  lattice's ``top`` and ``bottom`` rows).
 
 The combined suitability is the product over selected subspaces, with
 two conventions: any zero annihilates the product (+inf times zero is
@@ -14,8 +15,9 @@ zero, incompatibility dominates) and +inf times a positive factor stays
 +inf.
 
 Capability runs a discrete dynamic over a row-stochastic matrix ``pi``
-(rows: lifted vertices of the task's flow lattice; columns: nodes).  Row
-initialisation multiplies two attenuation factors and normalises:
+(rows: positions of the task's flow lattice, so algorithm i is row i;
+columns: nodes).  Row initialisation multiplies two attenuation factors
+and normalises:
 
 * ``a1``: one minus the node's share of the total execution time of the
   algorithm (a zero execution time contributes no share, so its factor
@@ -41,7 +43,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import HyperallocError
-from .graphs import AlgorithmId, SemiLattice, flow_critical_cost, flow_predecessors
+from .graphs import SemiLattice, flow_critical_cost, flow_predecessors
 from .network import round_trip_matrix
 
 
@@ -62,10 +64,10 @@ class Subspace(str, Enum):
 class CapabilityState:
     """Probability dynamics for one task's algorithms over the nodes.
 
-    Rows are the positions of the task's flow lattice (virtual starts,
-    real algorithms ascending, virtual finishes); columns follow node
-    index order.  ``pred_index`` row r lists row r's flow-predecessor
-    rows ascending, right-padded with the sentinel ``len(pi)``.
+    Rows are the positions of the task's flow lattice (the start, real
+    algorithm i at row i, the finish); columns follow node index order.
+    ``pred_index`` row r lists row r's flow-predecessor rows ascending,
+    right-padded with the sentinel ``len(pi)``.
     """
 
     def __init__(self, sl, nodes, pi, capital, capable, pr, pred_index, ct, step):
@@ -81,12 +83,6 @@ class CapabilityState:
         self.step = step
         self.iterations = 0
         self.converged = None
-        if len(sl.components) == 1:
-            self.top_row = sl.components[0].top
-            self.bottom_row = sl.components[0].bottom
-        else:
-            self.top_row = None
-            self.bottom_row = None
 
 
 def pi_init(
@@ -104,7 +100,7 @@ def pi_init(
     real algorithm, index order); virtual vertices execute in zero time.
     ``incapable`` lists (node label, algorithm index) pairs whose entries
     are pinned to zero.  ``assignment`` optionally fixes the host node of
-    real algorithms (keyed by :class:`AlgorithmId`) for the predecessor
+    real algorithms (algorithm index -> node label) for the predecessor
     round-trip totals; unassigned predecessors fall back to the most
     likely node of their own already initialised row (rows are filled one
     topological level at a time, so predecessor rows always exist).
@@ -121,8 +117,7 @@ def pi_init(
     n_nodes = len(nodes)
     if n_nodes == 0:
         raise ValueError("at least one node is required")
-    rows = sl.order
-    n_rows = len(rows)
+    n_rows = sl.size
     n_real = sl.base.vertex_count
 
     et = np.zeros((n_rows, n_nodes))
@@ -142,13 +137,12 @@ def pi_init(
     for label, index in incapable:
         if label not in nodes:
             raise ValueError(f"incapable entry references unknown node {label}")
-        vid = AlgorithmId(index)
-        if vid not in sl.position:
+        if index not in sl.reals:
             raise ValueError(f"incapable entry references unknown algorithm index {index}")
-        capable[sl.position[vid], nodes.index(label)] = False
+        capable[int(index), nodes.index(label)] = False  # an integral float such as 1.0 names algorithm 1
     for r in range(n_rows):
         if not capable[r].any():
-            raise DegenerateRow(f"algorithm {rows[r]} has no capable node")
+            raise DegenerateRow(f"algorithm {sl.name(r)} has no capable node")
 
     if net is not None:
         net_order = tuple(ref.label for ref in net.ordered)
@@ -160,12 +154,12 @@ def pi_init(
 
     fixed = np.full(n_rows, -1, dtype=np.intp)  # assigned host column per row, or -1
     if assignment:
-        for vid, label in assignment.items():
-            if vid not in sl.position:
-                raise ValueError(f"assignment references unknown vertex {vid}")
+        for index, label in assignment.items():
+            if index not in sl.reals:
+                raise ValueError(f"assignment references unknown algorithm index {index}")
             if label not in nodes:
                 raise ValueError(f"assignment references unknown node {label}")
-            fixed[sl.position[vid]] = nodes.index(label)
+            fixed[int(index)] = nodes.index(label)
 
     pred_rows = [flow_predecessors(sl, r) for r in range(n_rows)]
     width = np.array([len(preds) for preds in pred_rows], dtype=np.intp)
@@ -318,12 +312,10 @@ def cplt_score(state: CapabilityState, node) -> float:
     the node only when both ends have been reachable with positive
     probability.
     """
-    if state.top_row is None:
-        raise SubspaceError("capability score requires a single-component task graph")
     if node not in state.col_index:
         raise SubspaceError(f"unknown node {node}")
     c = state.col_index[node]
-    return float(state.capital[state.top_row, c] * state.capital[state.bottom_row, c])
+    return float(state.capital[state.sl.top, c] * state.capital[state.sl.bottom, c])
 
 
 def check_score(subspace: Subspace, value: float) -> float:

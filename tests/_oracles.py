@@ -16,7 +16,7 @@ import numpy as np
 
 from hyperalloc.allocator import IDLE_TASK, ScheduleEntry, WindowViolation
 from hyperalloc.delays import ErlangDelay, ExponentialDelay, delay_mean, delay_sum, sample_delay, substream
-from hyperalloc.graphs import AlgorithmId, algorithm, build_graph, to_semilattice
+from hyperalloc.graphs import build_graph, to_semilattice
 from hyperalloc.network import ict, round_trip_matrix, shortest_comm_path
 from hyperalloc.subspaces import (
     CapabilityState,
@@ -429,7 +429,7 @@ def score_per_arrival(sc, opts, net, profile, states, task_id, arrival_idx):
             spec.exec_times,
             incapable=spec.incapable,
             net=net,
-            assignment={algorithm(i): label for i, label in spec.assignment.items()},
+            assignment=spec.assignment,
             step=opts.step,
         )
         pi_limit(state, tol=opts.tol, max_iter=opts.max_iter)
@@ -466,6 +466,15 @@ def random_dag(rng, max_vertices=8, p=0.35):
         if rng.random() < p
     ]
     return n, edges
+
+
+def connected_dag(rng, max_vertices=8, p=0.35):
+    """``random_dag`` drawn again until ``lift`` finds one component, so
+    that the graph has a flow lattice."""
+    while True:
+        n, edges = random_dag(rng, max_vertices, p)
+        if len(lift(n, edges)[0]) == 1:
+            return n, edges
 
 
 def random_network(rng, max_nodes=6):
@@ -522,18 +531,16 @@ def pi_init_rows(sl, nodes, exec_times, incapable=(), net=None, assignment=None,
     """
     nodes = tuple(nodes)
     n_nodes = len(nodes)
-    rows = sl.order
-    n_rows = len(rows)
+    n_rows = sl.base.vertex_count + 2  # the start, algorithm i at row i, the finish
     et = np.zeros((n_rows, n_nodes))
     for c, label in enumerate(nodes):
-        for v in rows:
-            if not v.is_virtual:
-                et[sl.position[v], c] = exec_times[label][v.index - 1]
+        for i, value in enumerate(exec_times[label], start=1):
+            et[i, c] = value
     capable = np.ones((n_rows, n_nodes), dtype=bool)
     for label, index in incapable:
-        capable[sl.position[AlgorithmId(index)], nodes.index(label)] = False
+        capable[index, nodes.index(label)] = False
     ct = round_trip_matrix(net) if net is not None else np.zeros((n_nodes, n_nodes))
-    host_col = {sl.position[v]: nodes.index(label) for v, label in (assignment or {}).items()}
+    host_col = {index: nodes.index(label) for index, label in (assignment or {}).items()}
     preds = ancestor_rows(sl)
     pred_index = np.full((n_rows, max(map(len, preds), default=0)), n_rows, dtype=np.intp)
     for r, row in enumerate(preds):

@@ -329,6 +329,16 @@ def test_commit_zeroes_the_scores_that_drop_and_keeps_deadlines():
     assert layout(schedules["n1"]) == [("c", 0.0, 1.5, 0.5), ("b", 1.5, 2.5, 0.25), ("a", 2.5, 4.5, 0.0)]
 
 
+def test_the_winners_report_carries_its_deadline_and_score_to_commit():
+    schedules = {"n1": NodeSchedule(), "n2": NodeSchedule()}
+    decision = decide(schedules, {"n1": 0.4, "n2": 0.9}, {"n1": 1.0, "n2": 1.0}, window=(0.0, 6.0))
+    assert (decision.impact.deadline, decision.impact.score) == (6.0, 0.9)
+    assert not hasattr(decision, "deadline")  # the decision keeps only what the report shows
+    commit_decision(decision, schedules)
+    assert layout(schedules["n2"]) == [("t", 0.0, 1.0, 0.9)] and schedules["n2"].deadline[0] == 6.0
+    assert len(schedules["n1"]) == 0
+
+
 def test_rejected_decision_changes_nothing():
     schedules = {"n1": NodeSchedule()}
     decision = run_one(schedules, score=0.0)
@@ -372,7 +382,9 @@ def _place(ours, ref, deadlines, task, arrival, duration, window, score):
         if schedule is ours:
             assert type(impact.start) is type(impact.end) is type(lost) is float
         winner = CandidateReport("n1", 1, {}, score, True, None, lost, impact.start, impact.end)
-        decision = AllocationDecision(task, arrival, 0, "n1", MAX_SCORE, [winner], window[1], impact)
+        if schedule is ours:  # allocate hands the winner's deadline and score to commit on its report
+            impact.deadline, impact.score = window[1], score
+        decision = AllocationDecision(task, arrival, 0, "n1", MAX_SCORE, [winner], impact)
         commit(decision, {"n1": schedule})
     deadlines[task] = window[1]
     assert outcomes[0] == outcomes[1]

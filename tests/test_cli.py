@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import warnings
@@ -330,6 +331,45 @@ def test_inspect_emits_json(capsys, what):
         assert payload["T"]["converged"] is True
     else:
         assert {(r["from"], r["to"]) for r in payload} >= {("R1", "F"), ("F", "C")}
+
+
+# SHA-256 of the ``inspect`` JSON of every scenario under scenarios/: the
+# start1/finish1 names, the vertex order and every value must stay put.
+INSPECT_SHA256 = {
+    ("minimal.scn", "flows"): "681c1d4ba571c69b8ee9d28f808c7a8dd36b50a35268c17ccc06ed459ebbf479",
+    ("minimal.scn", "pi"): "6857d9369fa29bed136e2f903130c31756233b36434f13ded9ce26bd1600cd98",
+    ("minimal.scn", "routes"): "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    ("three_robots.scn", "flows"): "4389bbb6c05a87c96cd959f5ccdd4c2f7886db1fa54f1893fd8071aaf58a7088",
+    ("three_robots.scn", "pi"): "09e2d9e3c1ddeae7996ae0cc1aa317de6907ada04c395d23335b744b70195fba",
+    ("three_robots.scn", "routes"): "598610bce9a72e579c8e94727f088876f9aef927b9becf0fb14d6982e3e36652",
+    ("three_robots_comm_only.scn", "flows"): "4389bbb6c05a87c96cd959f5ccdd4c2f7886db1fa54f1893fd8071aaf58a7088",
+    ("three_robots_comm_only.scn", "pi"): "09e2d9e3c1ddeae7996ae0cc1aa317de6907ada04c395d23335b744b70195fba",
+    ("three_robots_comm_only.scn", "routes"): "598610bce9a72e579c8e94727f088876f9aef927b9becf0fb14d6982e3e36652",
+}
+
+
+@pytest.mark.parametrize(
+    "scenario, what",
+    [(path.name, what) for path in sorted(SCENARIO_DIR.glob("*.scn")) for what in ("flows", "pi", "routes")],
+)
+def test_inspect_bytes_are_pinned(capsys, scenario, what):
+    code, out, err = invoke(capsys, "inspect", "--scenario", str(SCENARIO_DIR / scenario), "--what", what)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == INSPECT_SHA256[scenario, what]
+
+
+@pytest.mark.parametrize("command", [["allocate"], ["inspect", "--what", "flows"]])
+def test_disconnected_task_graph_is_a_located_issue(capsys, tmp_path, command):
+    # a flow lattice has one start and one finish: the parser rejects a task
+    # graph in two parts (exit 1) before to_semilattice could (exit 2)
+    text = (SCENARIO_DIR / "three_robots.scn").read_text(encoding="utf-8")
+    assert "edge A4 -> A5\n" in text
+    bad = tmp_path / "split.scn"
+    bad.write_text(text.replace("edge A4 -> A5\n", ""), encoding="utf-8")
+    code, out, err = invoke(capsys, command[0], "--scenario", str(bad), *command[1:])
+    assert code == 1 and out == ""
+    line = text.splitlines().index("[task T]") + 1
+    assert err == f"{bad}: line {line}, col 1: task T graph must be weakly connected\n"
 
 
 def test_sampled_cli_runs_are_reproducible(capsys):

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from hyperalloc.graphs import (
-    AlgorithmId,
     CycleDetected,
     FlowExplosion,
     GraphError,
     IndexOutOfRange,
     UnknownVertex,
-    algorithm,
     build_graph,
     count_execution_flows,
     execution_flows,
@@ -22,8 +20,10 @@ from hyperalloc.graphs import (
 )
 
 from _oracles import (
+    connected_dag,
     critical_cost,
     enumerate_flows,
+    lift,
     lifted_ancestors,
     lifted_order,
     lifted_topo,
@@ -38,7 +38,8 @@ def reference_lattice():
 
 
 def real_path(flow):
-    return tuple(v.index for v in flow.vertices if not v.is_virtual)
+    """A flow's real algorithms: every position between the start and the finish."""
+    return flow[1:-1]
 
 
 def test_build_graph_rejects_bad_edges():
@@ -59,34 +60,28 @@ def test_build_graph_rejects_cycles():
         build_graph(2, [(1, 2), (2, 1)])
 
 
-def test_algorithm_ids_order_and_render():
-    a = algorithm(3)
-    assert str(a) == "A3"
-    top = AlgorithmId(1, is_virtual_top=True)
-    bottom = AlgorithmId(1, is_virtual_bottom=True)
-    assert str(top) == "start1"
-    assert str(bottom) == "finish1"
+def test_lattice_names_its_positions():
+    sl = reference_lattice()
+    assert [sl.name(r) for r in range(sl.size)] == ["start1"] + [f"A{i}" for i in range(1, 9)] + ["finish1"]
 
 
 def test_semilattice_structure_single_component():
     sl = reference_lattice()
-    assert len(sl.components) == 1
-    comp = sl.components[0]
-    assert sl.succ[comp.top] == (sl.position[algorithm(1)],)
-    assert sl.pred[comp.bottom] == (sl.position[algorithm(8)],)
-    # order: virtual top, reals ascending, virtual bottom
-    assert comp.top == 0 and sl.order[0] == AlgorithmId(1, is_virtual_top=True)
-    assert comp.bottom == len(sl.order) - 1 and sl.order[-1] == AlgorithmId(1, is_virtual_bottom=True)
-    assert [v.index for v in sl.order[1:-1]] == list(range(1, 9))
+    # positions: the start, algorithm i at position i, the finish
+    assert (sl.top, sl.reals, sl.bottom, sl.size) == (0, range(1, 9), 9, 10)
+    assert sl.succ[sl.top] == (1,)
+    assert sl.pred[sl.bottom] == (8,)
+    assert sl.succ[4] == (5,) and sl.pred[4] == (2, 3)
 
 
-def test_semilattice_two_components():
-    sl = to_semilattice(build_graph(4, [(1, 2), (3, 4)]))
-    assert len(sl.components) == 2
-    assert sorted(sl.order[r].index for r in sl.components[0].members) == [1, 2]
-    assert sorted(sl.order[r].index for r in sl.components[1].members) == [3, 4]
-    flows = execution_flows(sl)
-    assert [real_path(f) for f in flows] == [(1, 2), (3, 4)]
+def test_to_semilattice_rejects_more_than_one_component():
+    with pytest.raises(GraphError, match="weakly connected"):
+        to_semilattice(build_graph(4, [(1, 2), (3, 4)]))
+
+
+def test_to_semilattice_rejects_a_graph_without_vertices():
+    with pytest.raises(GraphError, match="at least one vertex"):
+        to_semilattice(build_graph(0, []))
 
 
 def test_reference_flows_and_count():
@@ -106,8 +101,8 @@ def test_long_chain_enumerates_without_recursion():
     sl = to_semilattice(build_graph(n, [(v, v + 1) for v in range(1, n)]))
     flows = execution_flows(sl)
     assert len(flows) == 1
-    assert flows[0].vertices[0] == sl.order[sl.components[0].top]
-    assert flows[0].vertices[-1] == sl.order[sl.components[0].bottom]
+    assert flows[0][0] == sl.top
+    assert flows[0][-1] == sl.bottom
     assert real_path(flows[0]) == tuple(range(1, n + 1))
 
 
@@ -132,52 +127,35 @@ def test_flow_cap_checked_before_enumeration():
 
 def test_flow_predecessors_are_flow_ancestors():
     sl = reference_lattice()
-    assert flow_predecessors(sl, sl.position[algorithm(4)]) == [sl.position[algorithm(i)] for i in (1, 2, 3)]
-    assert flow_predecessors(sl, sl.position[algorithm(1)]) == []
-    bottom = sl.components[0].bottom
-    assert flow_predecessors(sl, bottom) == list(sl.reals)
+    assert flow_predecessors(sl, 4) == [1, 2, 3]
+    assert flow_predecessors(sl, 1) == []
+    assert flow_predecessors(sl, sl.bottom) == list(sl.reals)
     with pytest.raises(UnknownVertex):
-        flow_predecessors(sl, len(sl.order))
+        flow_predecessors(sl, sl.size)
 
 
 def test_lifted_order_matches_reference():
     for seed in range(30):
         rng = random.Random(seed)
-        n, edges = random_dag(rng)
+        n, edges = connected_dag(rng)
         sl = to_semilattice(build_graph(n, edges))
-        expect = lifted_order(n, edges)
-        got = []
-        for v in sl.order:
-            if v.is_virtual_top:
-                got.append(f"top{v.index}")
-            elif v.is_virtual_bottom:
-                got.append(f"bot{v.index}")
-            else:
-                got.append(v.index)
-        assert got == expect
+        assert (sl.top, sl.reals, sl.bottom, sl.size) == (0, range(1, n + 1), n + 1, n + 2)
+        assert ["top1", *sl.reals, "bot1"] == lifted_order(n, edges)
 
 
 def test_flow_critical_cost_vertex_and_edge():
     sl = reference_lattice()
     row = {1: 2, 2: 6, 3: 4, 4: 2, 5: 6, 6: 4, 7: 2, 8: 6}
-    cost = flow_critical_cost(sl, [0 if v.is_virtual else row[v.index] for v in sl.order])
+    cost = flow_critical_cost(sl, [0] + [row[i] for i in sl.reals] + [0])
     assert cost == 26  # 2+6+2+6+4+6 along 1-2-4-5-6-8
     hops = flow_critical_cost(sl, edge_cost=lambda u, v: 1)
     assert hops == max_flow_length(sl)
 
 
-def test_empty_graph():
-    sl = to_semilattice(build_graph(0, []))
-    assert sl.components == ()
-    assert execution_flows(sl) == []
-    assert count_execution_flows(sl) == 0
-    assert flow_critical_cost(sl) == 0.0
-
-
 def test_flows_match_oracle_quick():
     rng = random.Random(42)
     for _ in range(50):
-        n, edges = random_dag(rng)
+        n, edges = connected_dag(rng)
         sl = to_semilattice(build_graph(n, edges))
         got = [real_path(f) for f in execution_flows(sl)]
         assert got == enumerate_flows(n, edges)
@@ -185,23 +163,23 @@ def test_flows_match_oracle_quick():
 
 
 def oracle_graphs():
-    """Random DAGs (sparse ones split into several components) and the empty graph."""
+    """Random connected DAGs, sparse to dense."""
     rng = random.Random(808)
-    graphs = [(0, [])]
+    graphs = []
     for p in (0.15, 0.35, 0.6):
-        graphs += [random_dag(rng, max_vertices=10, p=p) for _ in range(40)]
+        graphs += [connected_dag(rng, max_vertices=10, p=p) for _ in range(40)]
     return graphs
 
 
 def test_topo_and_flow_predecessors_match_oracles():
-    several = 0
+    forked = 0
     for n, edges in oracle_graphs():
         sl = to_semilattice(build_graph(n, edges))
-        several += len(sl.components) > 1
+        forked += len(sl.succ[sl.top]) > 1 and len(sl.pred[sl.bottom]) > 1  # several sources and sinks
         order = lifted_order(n, edges)
         assert list(sl.topo) == [order.index(v) for v in lifted_topo(n, edges)]
-        assert [flow_predecessors(sl, r) for r in range(len(sl.order))] == lifted_ancestors(n, edges)
-    assert several >= 10
+        assert [flow_predecessors(sl, r) for r in range(sl.size)] == lifted_ancestors(n, edges)
+    assert forked >= 10
 
 
 def test_cost_matrix_columns_match_scalar_oracle():
@@ -209,26 +187,27 @@ def test_cost_matrix_columns_match_scalar_oracle():
     for n, edges in oracle_graphs():
         sl = to_semilattice(build_graph(n, edges))
         rows = [[rng.uniform(0.0, 9.9) for _ in range(n)] for _ in range(4)]  # one per node
-        cost = np.zeros((len(sl.order), len(rows)))
+        cost = np.zeros((sl.size, len(rows)))
         cost[sl.reals.start : sl.reals.stop] = np.transpose(rows)
         got = flow_critical_cost(sl, cost)
         assert got.shape == (len(rows),)
         for column, row in zip(got, rows):
             want = critical_cost(n, edges, lambda i, row=row: row[i - 1])
             assert np.array_equal(column, want)
-            vector = [0.0 if v.is_virtual else row[v.index - 1] for v in sl.order]
+            vector = [0.0, *row, 0.0]
             scalar = flow_critical_cost(sl, vector)
             assert type(scalar) is float and scalar == want
 
 
 def test_weak_component_count_matches_the_lifted_components():
+    assert weak_component_count(0, []) == len(lift(0, [])[0]) == 0
     rng = random.Random(1301)
     counts = set()
     for _ in range(300):
         n, edges = random_dag(rng, max_vertices=12, p=rng.choice((0.05, 0.15, 0.35)))
+        want = len(lift(n, edges)[0])
         rng.shuffle(edges)
         edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]  # direction does not matter
-        want = len(to_semilattice(build_graph(n, [(min(e), max(e)) for e in edges])).components)
         assert weak_component_count(n, edges) == want
         counts.add(want)
     assert {1, 2, 3} <= counts

@@ -6,7 +6,7 @@ import pytest
 
 from hyperalloc import subspaces
 from hyperalloc.delays import ExponentialDelay
-from hyperalloc.graphs import algorithm, build_graph, execution_flows, to_semilattice
+from hyperalloc.graphs import build_graph, execution_flows, to_semilattice
 from hyperalloc.network import (
     Link,
     NetworkModel,
@@ -32,11 +32,11 @@ from hyperalloc.subspaces import (
 )
 
 from _oracles import (
+    connected_dag,
     omega_update_rows,
     pi_init_rows,
     pi_limit_rows,
     predecessor_rows,
-    random_dag,
     random_network,
 )
 from conftest import scenario_text
@@ -70,8 +70,7 @@ def calibrated_net():
 
 
 def fixture_state(**kwargs):
-    assignment = {algorithm(i): label for i, label in ASSIGN.items()}
-    return pi_init(lattice(), NODES, EXEC, net=calibrated_net(), assignment=assignment, **kwargs)
+    return pi_init(lattice(), NODES, EXEC, net=calibrated_net(), assignment=ASSIGN, **kwargs)
 
 
 def test_score_ranges():
@@ -111,8 +110,8 @@ def test_communication_score_wraps_worst_target():
 
 def test_top_row_is_uniform_exactly():
     state = fixture_state()
-    assert state.top_row is not None
-    assert all(v == 0.2 for v in state.pi[state.top_row])
+    assert state.sl.top == 0
+    assert all(v == 0.2 for v in state.pi[state.sl.top])
 
 
 def test_bottom_row_matches_round_trip_totals():
@@ -123,12 +122,12 @@ def test_bottom_row_matches_round_trip_totals():
     a2 = 1.0 - kappa / kappa.sum()
     assert abs(a2.sum() - (len(NODES) - 1)) < 1e-12
     expected = a2 / a2.sum()
-    assert np.allclose(state.pi[state.bottom_row], expected, atol=1e-12)
+    assert np.allclose(state.pi[state.sl.bottom], expected, atol=1e-12)
 
 
 def test_first_row_uses_relative_execution_speed():
     state = fixture_state()
-    r = state.sl.position[algorithm(1)]
+    r = 1  # algorithm 1's row
     et = np.array([2.0, 2.0, 2.0, 1.0, 0.5])
     a1 = 1.0 - et / et.sum()  # no flow predecessors, so the round-trip factor is 1
     assert np.allclose(state.pi[r], a1 / a1.sum(), atol=1e-12)
@@ -137,7 +136,7 @@ def test_first_row_uses_relative_execution_speed():
 def test_zero_exec_time_gets_full_speed_factor():
     sl = to_semilattice(build_graph(2, [(1, 2)]))
     state = pi_init(sl, ("X", "Y"), {"X": [4.0, 1.0], "Y": [0.0, 1.0]})
-    r = state.sl.position[algorithm(1)]
+    r = 1
     # node Y executes step 1 in no time: its factor is 1, X gets 1 - 4/4 = 0
     assert state.pi[r, 0] == 0.0
     assert state.pi[r, 1] == 1.0
@@ -147,7 +146,7 @@ def test_zero_exec_time_gets_full_speed_factor():
 
 def test_incapable_entries_stay_zero():
     state = fixture_state(incapable=(("R3", 1), ("R3", 8)))
-    r1, r8 = state.sl.position[algorithm(1)], state.sl.position[algorithm(8)]
+    r1, r8 = 1, 8
     col = state.col_index["R3"]
     assert state.pi[r1, col] == 0.0 and state.pi[r8, col] == 0.0
     pi_limit(state, tol=1e-12, max_iter=50)
@@ -166,17 +165,17 @@ def test_rows_without_pull_are_shared_evenly_by_their_capable_nodes():
     state = pi_init(to_semilattice(build_graph(1, [])), ("N",), {"N": [3.0]})
     assert state.pi.tolist() == [[1.0]] * 3
     # X holds all the time of A2 and A3, so its first factor there is 0, and Y is incapable
-    sl3 = to_semilattice(build_graph(3, [(1, 2)]))
+    sl3 = to_semilattice(build_graph(3, [(1, 2), (1, 3)]))
     state = pi_init(sl3, ("X", "Y"), {"X": [1, 2, 3], "Y": [3, 0, 0]}, incapable=(("Y", 2), ("Y", 3)))
     for v in (2, 3):
-        assert state.pi[sl3.position[algorithm(v)]].tolist() == [1.0, 0.0]
+        assert state.pi[v].tolist() == [1.0, 0.0]
     # A1 leans to B, where A2's flow predecessor then sits: A's round trip
     # zeroes A's second factor on A2, and B's share of A2's time its first
     net = NetworkModel([("A", "robot"), ("B", "fog")], [Link("A", "B", 1.0, ExponentialDelay(1.0))])
     sl2 = to_semilattice(build_graph(2, [(1, 2)]))
     state = pi_init(sl2, ("A", "B"), {"A": [5.0, 0.0], "B": [0.0, 5.0]}, net=net)
-    assert state.pi[sl2.position[algorithm(1)]].tolist() == [0.0, 1.0]
-    assert state.pi[sl2.position[algorithm(2)]].tolist() == [0.5, 0.5]
+    assert state.pi[1].tolist() == [0.0, 1.0]
+    assert state.pi[2].tolist() == [0.5, 0.5]
     pi_limit(state, tol=1e-12, max_iter=50)
     assert np.all(np.abs(state.pi.sum(axis=1) - 1.0) <= 1e-12)
 
@@ -194,16 +193,21 @@ def test_pi_init_validation():
         pi_init(sl, NODES, bad)
     with pytest.raises(ValueError):
         pi_init(sl, ("R1", "R2"), {"R1": [1] * 8, "R2": [1] * 8}, net=calibrated_net())
+    # entries name algorithms by index; an integral float names the same one
+    as_float = pi_init(sl, NODES, EXEC, incapable=(("R3", 2.0),), assignment={1.0: "C"})
+    assert np.array_equal(as_float.pi, pi_init(sl, NODES, EXEC, incapable=(("R3", 2),), assignment={1: "C"}).pi)
+    for entries in ({"incapable": (("R3", 1.5),)}, {"incapable": (("R3", 9),)}, {"assignment": {0: "C"}}):
+        with pytest.raises(ValueError, match="unknown algorithm index"):
+            pi_init(sl, NODES, EXEC, **entries)
 
 
 def test_omega_rows_sum_to_zero_and_respect_capability():
     state = fixture_state(incapable=(("R3", 2),))
     omega = omega_update(state)
     assert np.allclose(omega.sum(axis=1), 0.0, atol=1e-15)
-    r2 = state.sl.position[algorithm(2)]
-    assert omega[r2, state.col_index["R3"]] == 0.0
-    assert omega[state.top_row].sum() == 0.0  # no pull on virtual rows
-    assert not omega[state.top_row].any()
+    assert omega[2, state.col_index["R3"]] == 0.0
+    assert omega[state.sl.top].sum() == 0.0  # no pull on virtual rows
+    assert not omega[state.sl.top].any()
 
 
 def test_omega_scales_linearly_with_step():
@@ -214,18 +218,19 @@ def test_omega_scales_linearly_with_step():
 
 def test_virtual_rows_hold_station_under_iteration():
     state = fixture_state()
-    top0 = state.pi[state.top_row].copy()
-    bottom0 = state.pi[state.bottom_row].copy()
+    top, bottom = state.sl.top, state.sl.bottom
+    top0 = state.pi[top].copy()
+    bottom0 = state.pi[bottom].copy()
     pi_limit(state, tol=1e-12, max_iter=300)
-    assert np.allclose(state.pi[state.top_row], top0, atol=1e-12)
-    assert np.allclose(state.pi[state.bottom_row], bottom0, atol=1e-12)
-    assert np.allclose(state.capital[state.bottom_row], bottom0, atol=1e-12)
+    assert np.allclose(state.pi[top], top0, atol=1e-12)
+    assert np.allclose(state.pi[bottom], bottom0, atol=1e-12)
+    assert np.allclose(state.capital[bottom], bottom0, atol=1e-12)
 
 
 def test_pi_limit_invariants_on_random_states():
     rng = random.Random(11)
     for _ in range(10):
-        n, edges = random_dag(rng, max_vertices=6)
+        n, edges = connected_dag(rng, max_vertices=6)
         sl = to_semilattice(build_graph(n, edges))
         nodes = tuple(f"n{i}" for i in range(rng.randint(2, 4)))
         exec_times = {
@@ -243,8 +248,7 @@ def test_pi_limit_invariants_on_random_states():
             pi_limit(state, tol=1e-30, max_iter=40)
             assert np.allclose(state.pi.sum(axis=1), 1.0, atol=1e-9)
             for label, v in incapable:
-                r = state.sl.position[algorithm(v)]
-                assert state.pi[r, state.col_index[label]] == 0.0
+                assert state.pi[v, state.col_index[label]] == 0.0
             assert (state.capital >= previous - 1e-18).all()
             assert (state.capital >= state.pi - 1e-18).all()
             previous = state.capital.copy()
@@ -268,21 +272,13 @@ def test_pi_limit_flags_nonconvergence():
 
 def test_capital_pi_and_cplt_score():
     state = fixture_state()
-    top = lattice().components[0].top
+    top, bottom = state.sl.top, state.sl.bottom
     assert state.capital[top, state.col_index["R1"]] == 0.2
     s = cplt_score(state, "R2")
     assert type(s) is float
-    assert abs(s - state.capital[state.top_row, 1] * state.capital[state.bottom_row, 1]) < 1e-18
+    assert abs(s - state.capital[top, 1] * state.capital[bottom, 1]) < 1e-18
     with pytest.raises(SubspaceError):
         cplt_score(state, "R9")
-
-
-def test_cplt_requires_single_component():
-    sl = to_semilattice(build_graph(2, []))
-    state = pi_init(sl, ("X", "Y"), {"X": [1, 2], "Y": [2, 1]})
-    assert state.top_row is None
-    with pytest.raises(SubspaceError):
-        cplt_score(state, "X")
 
 
 def test_combine_scores_annihilation_and_infinity():
@@ -306,11 +302,8 @@ def test_overall_comm_bound_matches_flow_enumeration():
     host = np.argmax(state.capital, axis=1)
     expected = 0.0
     for flow in execution_flows(sl):
-        reals = [v for v in flow.vertices if not v.is_virtual]
-        cost = sum(
-            dt[host[sl.position[u]], host[sl.position[v]]]
-            for u, v in zip(reals, reals[1:])
-        )
+        reals = flow[1:-1]
+        cost = sum(dt[host[u], host[v]] for u, v in zip(reals, reals[1:]))
         expected = max(expected, cost)
     assert overall_comm_bound(state, dt) == expected
     with pytest.raises(ValueError):
@@ -334,7 +327,7 @@ def random_networked_states(rng, count):
             ],
         )
         nodes = tuple(ref.label for ref in net.ordered)
-        n, edges = random_dag(rng, max_vertices=20, p=0.35)
+        n, edges = connected_dag(rng, max_vertices=20, p=0.35)
         sl = to_semilattice(build_graph(n, edges))
         exec_times = {label: [rng.uniform(0.5, 5.0) for _ in range(n)] for label in nodes}
         incapable = [(label, v) for label in nodes[1:] for v in range(1, n + 1) if rng.random() < 0.15]
@@ -383,16 +376,15 @@ def init_variants(rng, state):
     """pi_init keyword sets: none, assigned hosts, and up to two vertices
     whose whole execution time sits on the first node while every other
     node is incapable of them, which leaves their rows without mass."""
-    reals = [v for v in state.sl.order if not v.is_virtual]
-    indices = range(1, len(reals) + 1)
+    reals = state.sl.reals
     first, others = state.nodes[0], state.nodes[1:]
-    empty = rng.sample(indices, min(2, len(reals)))
+    empty = rng.sample(reals, min(2, len(reals)))
     return [
         {},
         {"assignment": {v: rng.choice(state.nodes) for v in rng.sample(reals, (len(reals) + 1) // 2)}},
         {
             "exec_times": {
-                label: [0.0 if v in empty and label != first else rng.uniform(0.5, 5.0) for v in indices]
+                label: [0.0 if v in empty and label != first else rng.uniform(0.5, 5.0) for v in reals]
                 for label in state.nodes
             },
             "incapable": [(label, v) for label in others for v in empty],
@@ -413,7 +405,7 @@ def test_pi_init_matches_per_row_reference_bit_for_bit():
                 assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
             # a row without mass goes whole to its one capable node, the first
             for v in {v for _, v in extra.get("incapable", ())}:
-                assert ours.pi[ours.sl.position[algorithm(v)]].tolist() == [1.0] + [0.0] * (len(ours.nodes) - 1)
+                assert ours.pi[v].tolist() == [1.0] + [0.0] * (len(ours.nodes) - 1)
                 degenerate += 1
     assert degenerate and deep
 
