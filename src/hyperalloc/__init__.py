@@ -20,7 +20,6 @@ from .allocator import (
 from .delays import (
     DelaySum,
     ErlangDelay,
-    ExponentialDelay,
     delay_mean,
     delay_sum,
     sample_delay,
@@ -79,7 +78,6 @@ from .scenario import (
 )
 from .subspaces import (
     CapabilityState,
-    DegenerateRow,
     Subspace,
     SubspaceError,
     check_score,

@@ -11,6 +11,11 @@ Routing minimises the expected one-way time (constant + mean delay); one
 search from a source resolves its routes to every other node, and ties
 break on the lexicographically smallest node-index sequence, which keeps
 every downstream quantity deterministic.
+
+The model is built from a scenario that ``check_scenario`` accepted: its
+node and link tuples go in as they are, and nothing here checks kinds,
+duplicates, endpoints, link parameters or request counts again.  Queries
+still check their own arguments.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delays import ErlangDelay, ExponentialDelay, added_in_order, delay_mean, delay_sum, sample_delay
+from .delays import ErlangDelay, added_in_order, delay_mean, delay_sum, sample_delay
 from .errors import HyperallocError
 
 NODE_KINDS = ("robot", "fog", "cloud")
@@ -29,11 +34,18 @@ MODES = ("expected", "sample")
 
 
 class NetworkError(HyperallocError):
-    """Invalid network input or query."""
+    """Invalid network query."""
 
 
 class Unreachable(NetworkError):
     """No path exists between the requested nodes."""
+
+
+def node_order(declarations) -> list:
+    """``(label, kind)`` declarations in node index order: robots, then
+    fog, then cloud, each in declaration order.  A declaration of another
+    kind is left out."""
+    return [(label, kind) for k in NODE_KINDS for label, kind in declarations if kind == k]
 
 
 @dataclass(frozen=True)
@@ -45,22 +57,16 @@ class NodeRef:
 
 @dataclass(frozen=True)
 class Link:
-    """Bidirectional link: constant time plus exponential extra delay."""
+    """Bidirectional link: constant time plus an exponential delay at ``rate``."""
 
     a: str
     b: str
     constant_time: float
-    delay: ExponentialDelay
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise NetworkError(f"link endpoints must differ, got {self.a}")
-        if self.constant_time < 0:
-            raise NetworkError(f"link constant time must be non-negative, got {self.constant_time}")
+    rate: float
 
     @property
     def expected_one_way(self) -> float:
-        return self.constant_time + self.delay.mean
+        return self.constant_time + 1.0 / self.rate
 
 
 @dataclass(frozen=True)
@@ -73,42 +79,22 @@ class Route:
 class NetworkModel:
     """Nodes with kind-ordered indices plus a symmetric link set.
 
-    Indices are a bijection onto 1..N assigned by kind (robots first,
-    then fog, then cloud) in declaration order.  Instances are treated as
-    immutable; the route cache and round-trip matrix fill lazily, idempotently.
+    ``declarations`` are checked ``(label, kind)`` pairs and ``links``
+    checked ``(a, b, constant_time, rate)`` tuples.  Indices are a
+    bijection onto 1..N in :func:`node_order`.  Instances are treated as
+    immutable; the route cache and round-trip matrix fill lazily,
+    idempotently.
     """
 
     def __init__(self, declarations, links):
-        by_kind = {"robot": [], "fog": [], "cloud": []}
-        labels = set()
-        for label, kind in declarations:
-            if kind not in NODE_KINDS:
-                raise NetworkError(f"unknown node kind {kind!r} for {label}")
-            if label in labels:
-                raise NetworkError(f"duplicate node label {label}")
-            labels.add(label)
-            by_kind[kind].append(label)
-        ordered = []
-        for kind in NODE_KINDS:
-            for label in by_kind[kind]:
-                ordered.append(NodeRef(kind, len(ordered) + 1, label))
-        self.ordered = tuple(ordered)
-        self.nodes = {ref.label: ref for ref in ordered}
-
-        adjacency = {ref.label: [] for ref in ordered}
-        seen_pairs = set()
-        checked = []
-        for link in links:
-            if link.a not in self.nodes or link.b not in self.nodes:
-                raise NetworkError(f"link references undeclared node: {link.a}-{link.b}")
-            pair = frozenset((link.a, link.b))
-            if pair in seen_pairs:
-                raise NetworkError(f"duplicate link {link.a}-{link.b}")
-            seen_pairs.add(pair)
+        ordered = node_order(declarations)
+        self.ordered = tuple(NodeRef(kind, i, label) for i, (label, kind) in enumerate(ordered, start=1))
+        self.nodes = {ref.label: ref for ref in self.ordered}
+        self.links = tuple(Link(*link) for link in links)
+        adjacency = {ref.label: [] for ref in self.ordered}
+        for link in self.links:
             adjacency[link.a].append((link.b, link))
             adjacency[link.b].append((link.a, link))
-            checked.append(link)
-        self.links = tuple(checked)
         self.adjacency = {
             label: tuple(sorted(neigh, key=lambda item: self.nodes[item[0]].idx))
             for label, neigh in adjacency.items()
@@ -124,16 +110,10 @@ class NetworkModel:
 
 
 class RequestProfile:
-    """Request counts per (task, source node, target node)."""
+    """Checked request counts per (task, source node, target node); zero counts are dropped."""
 
     def __init__(self, counts=None):
-        self._counts = {}
-        for key, k in (counts or {}).items():
-            task, src, dst = key
-            if not isinstance(k, int) or k < 0:
-                raise NetworkError(f"request count must be a non-negative integer, got {k!r}")
-            if k:
-                self._counts[(task, src, dst)] = k
+        self._counts = {key: k for key, k in (counts or {}).items() if k}
         targets = {}
         for task, src, dst in self._counts:
             targets.setdefault((task, src), []).append(dst)
@@ -206,7 +186,7 @@ def comm_delays(net, profile, task, src) -> dict:
         k = profile.count(task, src, dst)
         links = shortest_comm_path(net, src, dst).links
         constant = 2 * k * added_in_order(link.constant_time for link in links)
-        out[dst] = delay_sum(constant, [ErlangDelay(2 * k, link.delay.rate) for link in links])
+        out[dst] = delay_sum(constant, [ErlangDelay(2 * k, link.rate) for link in links])
     return out
 
 

@@ -1,11 +1,14 @@
 """Scenario execution: compile the models, score candidates, allocate.
 
-The engine checks a scenario's content, turns it into a network model,
-request profile and one flow lattice per task, then walks the arrival
-sequence one arrival at a time: each decision reads the schedules the
-previous ones committed.  Scores do not depend on them, so
-a task's candidates are scored once, at its first arrival (sample mode
-redraws only the communication score for each later arrival).
+The engine checks a scenario's content and options, then compiles the
+checked scenario in one place: a network model, a request profile and
+one flow lattice per task, and at a task's first use its capability
+input arrays (:meth:`_Engine.compiled`).  The building blocks it hands
+them to do not check them again.  It then walks the arrival sequence one
+arrival at a time: each decision reads the schedules the previous ones
+committed.  Scores do not depend on them, so a task's candidates are
+scored once, at its first arrival (sample mode redraws only the
+communication score for each later arrival).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .allocator import NodeSchedule, allocate, commit_decision
-from .delays import ExponentialDelay, delay_mean, substream
+from .delays import delay_mean, substream
 from .errors import HyperallocError
 from .graphs import (
     build_graph,
@@ -27,7 +30,6 @@ from .graphs import (
     to_semilattice,
 )
 from .network import (
-    Link,
     NetworkModel,
     RequestProfile,
     com_t_max,
@@ -73,7 +75,7 @@ class _Engine:
         if issues:
             raise unlocated_error(issues)
         self.sc = sc
-        self.net = NetworkModel(sc.nodes, [Link(a, b, c, ExponentialDelay(lam)) for a, b, c, lam in sc.links])
+        self.net = NetworkModel(sc.nodes, sc.links)
         self.labels = tuple(ref.label for ref in self.net.ordered)
         self.profile = RequestProfile(sc.requests)
         self.lattices = {
@@ -85,21 +87,35 @@ class _Engine:
         self._late = set()  # (task, node) pairs already warned about their deadline
         self._durations = {}
         self._delays = {}  # (task, node) -> comm_delays table
+        self._compiled = {}  # task -> (et, capable, fixed)
         self._exec_costs = {}  # task -> {node label: critical-path execution time}
         self._tables = {}  # task -> (candidate rows by node index, row positions to redraw)
 
+    def compiled(self, task_id: str) -> tuple:
+        """A task's capability input, built at its first use: ``(et,
+        capable, fixed)`` with one row per lattice position and one column
+        per node in index order, as :func:`pi_init` takes them."""
+        inputs = self._compiled.get(task_id)
+        if inputs is None:
+            spec = self.sc.tasks[task_id]
+            sl = self.lattices[task_id]
+            column = {label: c for c, label in enumerate(self.labels)}
+            et = np.zeros((sl.size, len(self.labels)))
+            et[sl.reals.start : sl.reals.stop] = np.transpose([spec.exec_times[label] for label in self.labels])
+            capable = np.ones(et.shape, dtype=bool)
+            for label, index in spec.incapable:
+                capable[index, column[label]] = False
+            fixed = np.full(sl.size, -1, dtype=np.intp)  # assigned host column per row, or -1
+            for index, label in spec.assignment.items():
+                fixed[index] = column[label]
+            inputs = self._compiled[task_id] = et, capable, fixed
+        return inputs
+
     def capability_state(self, task_id: str):
         """Run a task's capability dynamics and record their convergence, once per task."""
-        spec = self.sc.tasks[task_id]
-        state = pi_init(
-            self.lattices[task_id],
-            self.labels,
-            spec.exec_times,
-            incapable=spec.incapable,
-            net=self.net,
-            assignment=spec.assignment,
-            step=self.opts.step,
-        )
+        et, capable, fixed = self.compiled(task_id)
+        ct = round_trip_matrix(self.net)
+        state = pi_init(self.lattices[task_id], et, capable, ct, fixed, self.opts.step)
         pi_limit(state, tol=self.opts.tol, max_iter=self.opts.max_iter)
         self.convergence[task_id] = {"iterations": state.iterations, "converged": bool(state.converged)}
         if not state.converged:
@@ -141,7 +157,7 @@ class _Engine:
                 elif subspace is Subspace.COMM:
                     value = self._comm_score(task_id, arrival_idx, label, idx)
                 else:
-                    value = cplt_score(state, label)
+                    value = cplt_score(state, idx - 1)
                 scores[subspace] = check_score(subspace, value)
             declared.append((label, idx, scores, combine_values(scores.values())))
         rows = sorted(declared, key=lambda row: row[1])
@@ -194,13 +210,9 @@ class _Engine:
         return total
 
     def _critical_exec_costs(self, task_id: str) -> dict:
-        """Worst-flow execution time of a task on every node with an exec row, in one pass."""
-        spec = self.sc.tasks[task_id]
-        sl = self.lattices[task_id]
-        labels = [label for label in self.labels if label in spec.exec_times]
-        cost = np.zeros((sl.size, len(labels)))
-        cost[sl.reals.start : sl.reals.stop] = np.transpose([spec.exec_times[label] for label in labels])
-        return dict(zip(labels, flow_critical_cost(sl, cost).tolist()))
+        """Worst-flow execution time of a task on every node, in one pass."""
+        et = self.compiled(task_id)[0]
+        return dict(zip(self.labels, flow_critical_cost(self.lattices[task_id], et).tolist()))
 
 
 def run(
@@ -274,19 +286,18 @@ def inspect_flows(scenario: Scenario) -> dict:
 def inspect_pi(scenario: Scenario) -> dict:
     """Converged allocation probabilities and worst-flow transmission bound."""
     engine = _Engine(scenario)
-    dt = round_trip_matrix(engine.net)
     out = {}
     for task_id, spec in scenario.tasks.items():
         state = engine.capability_state(task_id)
         sl = engine.lattices[task_id]
         out[task_id] = {
-            "nodes": list(state.nodes),
+            "nodes": list(engine.labels),
             "vertices": [_vertex_name(spec, sl, r) for r in range(sl.size)],
             "pi": [[float(x) for x in row] for row in state.pi],
             "capital": [[float(x) for x in row] for row in state.capital],
             "iterations": state.iterations,
             "converged": bool(state.converged),
-            "transmission_bound": float(overall_comm_bound(state, dt)),
+            "transmission_bound": float(overall_comm_bound(state)),
         }
     return out
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import HyperallocError
 from .graphs import GraphError, build_graph, weak_component_count
-from .network import MODES, NODE_KINDS
+from .network import MODES, NODE_KINDS, node_order
 from .subspaces import Subspace
 
 MAX_REQUESTS = 1_000_000  # sample mode draws 2k delays per hop for each candidate scored
@@ -593,7 +593,7 @@ def _check_exec_totals(sc, key, task, bad):
     exec row that adds a positive time to it."""
     if sum(map(sum, task.exec_times.values())) < 1e300:
         return  # no summation order can overflow
-    order = [label for kind in NODE_KINDS for label, k in sc.nodes if k == kind]
+    order = [label for label, _ in node_order(sc.nodes)]
     rows = [task.exec_times.get(label) for label in order]
     if any(row is None or len(row) != len(task.labels) for row in rows):
         return  # already reported

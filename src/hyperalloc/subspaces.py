@@ -33,6 +33,12 @@ and renormalise.  The drift depends on ``pi`` only through those hosts,
 so it is recomputed only when a most-likely host moves.  ``capital``
 keeps the running entrywise maximum of ``pi`` across iterations;
 incapable pairings are pinned to exactly zero throughout.
+
+The dynamics take input compiled from a checked scenario (the runner's
+``_Engine.compiled``) and checked options, and do not check them again.
+Only the range of each subspace score (:func:`check_score`) and a
+round-trip total that could overflow to infinity, which no input rule
+covers, raise SubspaceError.
 """
 
 from __future__ import annotations
@@ -44,15 +50,10 @@ import numpy as np
 
 from .errors import HyperallocError
 from .graphs import SemiLattice, flow_critical_cost, flow_predecessors
-from .network import round_trip_matrix
 
 
 class SubspaceError(HyperallocError):
     """Invalid subspace input or state."""
-
-
-class DegenerateRow(SubspaceError):
-    """A probability row has no capable node to hold its mass."""
 
 
 class Subspace(str, Enum):
@@ -70,10 +71,8 @@ class CapabilityState:
     right-padded with the sentinel ``len(pi)``.
     """
 
-    def __init__(self, sl, nodes, pi, capital, capable, pr, pred_index, ct, step):
+    def __init__(self, sl, pi, capital, capable, pr, pred_index, ct, step):
         self.sl = sl
-        self.nodes = nodes
-        self.col_index = {label: i for i, label in enumerate(nodes)}
         self.pi = pi
         self.capital = capital
         self.capable = capable
@@ -85,82 +84,28 @@ class CapabilityState:
         self.converged = None
 
 
-def pi_init(
-    sl: SemiLattice,
-    nodes,
-    exec_times,
-    incapable=(),
-    net=None,
-    assignment=None,
-    step: float = 0.1,
-) -> CapabilityState:
+def pi_init(sl: SemiLattice, et, capable, ct, fixed, step: float) -> CapabilityState:
     """Initial allocation-probability matrix for one task.
 
-    ``exec_times`` maps node label -> execution-time row (one value per
-    real algorithm, index order); virtual vertices execute in zero time.
-    ``incapable`` lists (node label, algorithm index) pairs whose entries
-    are pinned to zero.  ``assignment`` optionally fixes the host node of
-    real algorithms (algorithm index -> node label) for the predecessor
-    round-trip totals; unassigned predecessors fall back to the most
-    likely node of their own already initialised row (rows are filled one
-    topological level at a time, so predecessor rows always exist).
+    Takes checked input, one row per lattice position and one column per
+    node in index order, and does not check it again:
 
-    Without a network model all round-trip totals are zero and the
-    second factor degenerates to one.  A row in which every capable node
-    has a zero factor (a lone capable node holding all of the row's
-    execution time has) is shared evenly by its capable nodes; a row with
-    no capable node raises DegenerateRow.
+    * ``et``: execution times, zero on the virtual rows;
+    * ``capable``: False where an entry is pinned to zero; every row has
+      a capable node;
+    * ``ct``: round-trip times between nodes (:func:`round_trip_matrix`),
+      all zero without a network;
+    * ``fixed``: the column of the node an algorithm is assigned to, or
+      -1.  The hosts of unassigned predecessors in the round-trip totals
+      are the most likely nodes of their own already initialised rows
+      (rows are filled one topological level at a time, so predecessor
+      rows always exist).
+
+    A row in which every capable node has a zero factor (a lone capable
+    node holding all of the row's execution time has) is shared evenly
+    by its capable nodes.
     """
-    if not 0 < step <= 1:
-        raise ValueError(f"step must lie in (0, 1], got {step}")
-    nodes = tuple(nodes)
-    n_nodes = len(nodes)
-    if n_nodes == 0:
-        raise ValueError("at least one node is required")
-    n_rows = sl.size
-    n_real = sl.base.vertex_count
-
-    et = np.zeros((n_rows, n_nodes))
-    for c, label in enumerate(nodes):
-        if label not in exec_times:
-            raise ValueError(f"missing execution-time row for node {label}")
-        row = np.asarray(exec_times[label], dtype=float)
-        if row.shape != (n_real,):
-            raise ValueError(
-                f"execution-time row for {label} must have {n_real} entries, got {row.shape}"
-            )
-        if (row < 0).any():
-            raise ValueError(f"execution times must be non-negative ({label})")
-        et[sl.reals.start : sl.reals.stop, c] = row
-
-    capable = np.ones((n_rows, n_nodes), dtype=bool)
-    for label, index in incapable:
-        if label not in nodes:
-            raise ValueError(f"incapable entry references unknown node {label}")
-        if index not in sl.reals:
-            raise ValueError(f"incapable entry references unknown algorithm index {index}")
-        capable[int(index), nodes.index(label)] = False  # an integral float such as 1.0 names algorithm 1
-    for r in range(n_rows):
-        if not capable[r].any():
-            raise DegenerateRow(f"algorithm {sl.name(r)} has no capable node")
-
-    if net is not None:
-        net_order = tuple(ref.label for ref in net.ordered)
-        if nodes != net_order:
-            raise ValueError("node order must match the network index order")
-        ct = round_trip_matrix(net)
-    else:
-        ct = np.zeros((n_nodes, n_nodes))
-
-    fixed = np.full(n_rows, -1, dtype=np.intp)  # assigned host column per row, or -1
-    if assignment:
-        for index, label in assignment.items():
-            if index not in sl.reals:
-                raise ValueError(f"assignment references unknown algorithm index {index}")
-            if label not in nodes:
-                raise ValueError(f"assignment references unknown node {label}")
-            fixed[int(index)] = nodes.index(label)
-
+    n_rows, n_nodes = et.shape
     pred_rows = [flow_predecessors(sl, r) for r in range(n_rows)]
     width = np.array([len(preds) for preds in pred_rows], dtype=np.intp)
     pred_index = np.full((n_rows, width.max(initial=0)), n_rows, dtype=np.intp)
@@ -204,7 +149,7 @@ def pi_init(
         host[at] = np.where(fixed[at] < 0, pi[at].argmax(axis=1), fixed[at])
 
     pr = np.divide(1.0, et, out=np.zeros_like(et), where=et > 0)
-    return CapabilityState(sl, nodes, pi, pi.copy(), capable, pr, pred_index, ct, step)
+    return CapabilityState(sl, pi, pi.copy(), capable, pr, pred_index, ct, step)
 
 
 def _attenuation(x) -> np.ndarray:
@@ -269,16 +214,13 @@ def pi_limit(state: CapabilityState, tol: float = 1e-6, max_iter: int = 10_000) 
     The drift is recomputed only when ``argmax(pi, axis=1)``, the most
     likely host of some row, moves; as it depends on ``pi`` only through
     those hosts, every iterate is the same as with a drift recomputed on
-    each iteration.  ``tol`` must be positive and finite.
+    each iteration.  ``tol`` and ``max_iter`` are checked options: a
+    positive finite tolerance and a cap of at least one.
 
     Mutates and returns ``state``.  Hitting ``max_iter`` without
     converging only flags ``state.converged = False``; the state remains
     usable.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     incapable = ~state.capable
     change = np.empty_like(state.pi)
     converged = False
@@ -304,18 +246,15 @@ def pi_limit(state: CapabilityState, tol: float = 1e-6, max_iter: int = 10_000) 
     return state
 
 
-def cplt_score(state: CapabilityState, node) -> float:
-    """Capability of a node for the whole task.
+def cplt_score(state: CapabilityState, column: int) -> float:
+    """Capability for the whole task of the node in ``column``.
 
     Product of the running-maximum probabilities of the virtual start
     and finish vertices on that node; the task counts as performable by
     the node only when both ends have been reachable with positive
     probability.
     """
-    if node not in state.col_index:
-        raise SubspaceError(f"unknown node {node}")
-    c = state.col_index[node]
-    return float(state.capital[state.sl.top, c] * state.capital[state.sl.bottom, c])
+    return float(state.capital[state.sl.top, column] * state.capital[state.sl.bottom, column])
 
 
 def check_score(subspace: Subspace, value: float) -> float:
@@ -345,26 +284,21 @@ def combine_values(values) -> float:
     return math.prod(values, start=1.0)
 
 
-def overall_comm_bound(state: CapabilityState, dt) -> float:
+def overall_comm_bound(state: CapabilityState) -> float:
     """Worst-flow data transmission total for the most likely allocation.
 
     Every real vertex is pinned to its running-maximum node (lowest index
     on ties); each lattice edge between real vertices costs the
-    round-trip entry ``dt[host(u), host(v)]`` and edges touching virtual
-    vertices cost nothing.  The result is the exact maximum over
+    round-trip entry ``state.ct[host(u), host(v)]`` and edges touching
+    virtual vertices cost nothing.  The result is the exact maximum over
     execution flows, computed by longest-path dynamic programming.
     """
     sl = state.sl
-    dt = np.asarray(dt, dtype=float)
-    n_nodes = len(state.nodes)
-    if dt.shape != (n_nodes, n_nodes):
-        raise ValueError(f"dt must be {n_nodes}x{n_nodes}, got {dt.shape}")
-
     host = np.argmax(state.capital, axis=1)
 
     def edge_cost(u, v):
         if u in sl.reals and v in sl.reals:
-            return float(dt[host[u], host[v]])
+            return float(state.ct[host[u], host[v]])
         return 0.0
 
     return flow_critical_cost(sl, edge_cost=edge_cost)

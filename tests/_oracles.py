@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hyperalloc.allocator import IDLE_TASK, ScheduleEntry, WindowViolation
-from hyperalloc.delays import ErlangDelay, ExponentialDelay, delay_mean, delay_sum, sample_delay, substream
+from hyperalloc.delays import ErlangDelay, delay_mean, delay_sum, sample_delay, substream
 from hyperalloc.graphs import build_graph, to_semilattice
 from hyperalloc.network import ict, round_trip_matrix, shortest_comm_path
 from hyperalloc.subspaces import (
@@ -368,9 +368,8 @@ def oracle_decide(candidates, combined, schedules, arrival, durations, window, r
 
 
 def variance(d):
-    """Variance of an :class:`ExponentialDelay` or :class:`ErlangDelay`."""
-    shape = 1 if isinstance(d, ExponentialDelay) else d.shape
-    return shape / (d.rate * d.rate)
+    """Variance of an :class:`ErlangDelay`: ``shape`` exponential variances ``1/rate**2``."""
+    return d.shape / (d.rate * d.rate)
 
 
 def delay_variance(d):
@@ -399,7 +398,7 @@ def com_t_pair(net, profile, task, src, dst, rng=None):
     for link in route.links:  # left to right: sum() of floats compensates from Python 3.12 on
         constant += link.constant_time
     constant *= 2 * k
-    dist = delay_sum(constant, [ErlangDelay(2 * k, link.delay.rate) for link in route.links])
+    dist = delay_sum(constant, [ErlangDelay(2 * k, link.rate) for link in route.links])
     return (delay_mean(dist) if rng is None else sample_delay(dist, rng)), dist
 
 
@@ -423,7 +422,7 @@ def score_per_arrival(sc, opts, net, profile, states, task_id, arrival_idx):
     spec = sc.tasks[task_id]
     labels = spec.candidates if spec.candidates is not None else [ref.label for ref in net.ordered]
     if Subspace.CPLT in opts.subspaces and task_id not in states:
-        state = pi_init(
+        state = pi_init_labels(
             to_semilattice(build_graph(len(spec.labels), spec.edges)),
             tuple(ref.label for ref in net.ordered),
             spec.exec_times,
@@ -447,7 +446,7 @@ def score_per_arrival(sc, opts, net, profile, states, task_id, arrival_idx):
                 rng = substream(opts.seed, 1, arrival_idx, idx) if opts.mode == "sample" else None
                 scores[subspace] = ict(com_t_worst(net, profile, task_id, label, rng))
             else:
-                scores[subspace] = cplt_score(states[task_id], label)
+                scores[subspace] = cplt_score(states[task_id], idx - 1)
         combined = combine_values([check_score(s, v) for s, v in scores.items()])
         rows.append((label, idx, scores, combined))
     return rows
@@ -520,6 +519,28 @@ def predecessor_rows(state):
     return ancestor_rows(state.sl)
 
 
+def pi_init_labels(sl, nodes, exec_times, incapable=(), net=None, assignment=None, step=0.1):
+    """``pi_init`` on label-keyed input, the arguments ``pi_init_rows`` takes.
+
+    ``exec_times`` maps each node label to one time per algorithm,
+    ``incapable`` lists (node label, algorithm index) pairs and
+    ``assignment`` maps algorithm indices to node labels; without a
+    network every round trip is zero.  Assumes valid input.
+    """
+    nodes = tuple(nodes)
+    et = np.zeros((sl.size, len(nodes)))
+    capable = np.ones(et.shape, dtype=bool)
+    fixed = np.full(sl.size, -1, dtype=np.intp)
+    for c, label in enumerate(nodes):
+        et[sl.reals.start : sl.reals.stop, c] = exec_times[label]
+    for label, index in incapable:
+        capable[index, nodes.index(label)] = False
+    for index, label in (assignment or {}).items():
+        fixed[index] = nodes.index(label)
+    ct = round_trip_matrix(net) if net is not None else np.zeros((len(nodes), len(nodes)))
+    return pi_init(sl, et, capable, ct, fixed, step)
+
+
 def pi_init_rows(sl, nodes, exec_times, incapable=(), net=None, assignment=None, step=0.1):
     """Initial capability state filled one row at a time in topological order.
 
@@ -565,7 +586,7 @@ def pi_init_rows(sl, nodes, exec_times, incapable=(), net=None, assignment=None,
             mass = raw.sum()
         pi[r] = raw / mass
     pr = np.divide(1.0, et, out=np.zeros_like(et), where=et > 0)
-    return CapabilityState(sl, nodes, pi, pi.copy(), capable, pr, pred_index, ct, step)
+    return CapabilityState(sl, pi, pi.copy(), capable, pr, pred_index, ct, step)
 
 
 def omega_update_rows(state):

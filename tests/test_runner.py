@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 import hyperalloc
 from hyperalloc import runner
 from hyperalloc.allocator import MAX_SCORE, NO_CAPABLE_NODE, NON_PERTURBING, AllocationDecision, ImpactReport
-from hyperalloc.delays import ExponentialDelay
-from hyperalloc.network import Link, NetworkModel, RequestProfile, comm_delays
+from hyperalloc.network import NetworkModel, RequestProfile, comm_delays
 from hyperalloc.report import emit_report
 from hyperalloc.runner import (
     EngineError,
@@ -228,7 +227,7 @@ def record_com_t_max(monkeypatch, sc):
     The source is the node whose ``comm_delays`` table of task T the call
     scored; every node's table must differ from the others'.
     """
-    net = NetworkModel(sc.nodes, [Link(a, b, c, ExponentialDelay(lam)) for a, b, c, lam in sc.links])
+    net = NetworkModel(sc.nodes, sc.links)
     profile = RequestProfile(sc.requests)
     tables = {ref.label: comm_delays(net, profile, "T", ref.label) for ref in net.ordered}
     calls = []
@@ -374,7 +373,7 @@ def test_candidate_rows_match_per_arrival_scoring(monkeypatch, mode, subspaces):
 
     for seed in range(3):
         sc = parse_scenario(varied_scenario(seed, f"mode {mode}\nseed {seed}\nsubspaces {subspaces}\n"))
-        net = NetworkModel(sc.nodes, [Link(a, b, c, ExponentialDelay(lam)) for a, b, c, lam in sc.links])
+        net = NetworkModel(sc.nodes, sc.links)
         profile = RequestProfile(sc.requests)
         states, checked = {}, []
 
@@ -432,7 +431,7 @@ def record_calls(monkeypatch, name, key):
 
 def test_expected_mode_scores_each_candidate_once_per_run(monkeypatch):
     sc = parse_scenario(varied_scenario(4, "mode expected\n"))
-    cplt = record_calls(monkeypatch, "cplt_score", lambda state, label: (id(state), label))
+    cplt = record_calls(monkeypatch, "cplt_score", lambda state, column: (id(state), column))
     checked = record_calls(monkeypatch, "check_score", lambda subspace, value: subspace)
     combined = record_calls(monkeypatch, "combine_values", len)
     run(sc)
@@ -449,7 +448,7 @@ def test_sample_mode_draws_comm_once_per_arrival_and_candidate_in_declared_order
     sc = parse_scenario(varied_scenario(4, "mode sample\nsubspaces comm\n"))
     draws = record_calls(monkeypatch, "substream", lambda seed, stream, arrival_idx, idx: (arrival_idx, idx))
     run(sc)
-    net = NetworkModel(sc.nodes, [Link(a, b, c, ExponentialDelay(lam)) for a, b, c, lam in sc.links])
+    net = NetworkModel(sc.nodes, sc.links)
     # declared order, not node-index order: the deadline warnings follow the draws
     by_index = {task: sorted(spec.candidates, key=lambda n: net.node(n).idx) for task, spec in sc.tasks.items()}
     assert any(spec.candidates != by_index[task] for task, spec in sc.tasks.items())
@@ -515,7 +514,7 @@ def test_durations_match_the_per_node_critical_path(monkeypatch, mode):
         passes.clear()
         sc = parse_scenario(dag_scenario(seed))
         run(sc, mode=mode)
-        net = NetworkModel(sc.nodes, [Link(a, b, c, ExponentialDelay(lam)) for a, b, c, lam in sc.links])
+        net = NetworkModel(sc.nodes, sc.links)
         profile = RequestProfile(sc.requests)
         assert len(durations) == 15
         # one pass per task, over all five nodes; a connected task has one start and one finish
@@ -528,6 +527,15 @@ def test_durations_match_the_per_node_critical_path(monkeypatch, mode):
                 comm += com_t_pair(net, profile, task, label, dst)[0]
             want = critical_cost(len(spec.labels), spec.edges, lambda i: row[i - 1]) + comm
             assert type(got) is float and got.hex() == want.hex()
+
+
+def test_dynamics_and_durations_read_one_compiled_exec_matrix(monkeypatch):
+    # each task's exec matrix is compiled once, at its first arrival, for both users
+    dynamics = record_calls(monkeypatch, "pi_init", lambda sl, et, *rest: id(et))
+    durations = record_calls(monkeypatch, "flow_critical_cost", lambda sl, et: id(et))
+    sc = parse_scenario(dag_scenario(0))
+    run(sc)
+    assert len(set(dynamics)) == len(sc.tasks) and dynamics == durations
 
 
 def test_busy_time_adds_communication_by_target_label():
