@@ -14,11 +14,14 @@ from hyperalloc.delays import (
 from _oracles import delay_variance, variance
 
 
-def test_erlang_moments():
+def test_exponential_moments():
     # one exponential delay is the Erlang term of shape 1
     d = ErlangDelay(1, 4.0)
     assert d.mean == 0.25
     assert variance(d) == 0.0625
+
+
+def test_erlang_moments():
     d = ErlangDelay(7, 8.0)
     assert d.mean == 7 / 8
     assert variance(d) == 7 / 64
