@@ -27,12 +27,10 @@ from .delays import (
 )
 from .errors import HyperallocError
 from .graphs import (
-    AlgorithmGraph,
     CycleDetected,
     FlowExplosion,
     GraphError,
     SemiLattice,
-    build_graph,
     count_execution_flows,
     execution_flows,
     flow_critical_cost,

@@ -1,11 +1,11 @@
 """Algorithm dependency graphs lifted into flow lattices.
 
-A task decomposes into algorithms whose data dependencies form a weakly
-connected DAG on indices 1..n.  For flow analysis the graph is lifted: a
-virtual start vertex feeds every source and a virtual finish vertex
-drains every sink.  An execution flow is a start-to-finish path of the
-lifted graph; flows are enumerated in deterministic lexicographic order
-of their vertex positions.
+A task decomposes into algorithms whose data dependencies form a DAG on
+indices 1..n.  For flow analysis the graph is lifted: a virtual start
+vertex feeds every source and a virtual finish vertex drains every sink.
+An execution flow is a start-to-finish path of the lifted graph; flows
+are enumerated in deterministic lexicographic order of their vertex
+positions.
 
 A lattice's vertices are integer positions, and positions are their only
 names: the start at 0, algorithm i at position i, the finish at n + 1.
@@ -18,7 +18,6 @@ Structures built here are treated as immutable and may be shared freely.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,28 +35,11 @@ class CycleDetected(GraphError):
 
 
 class IndexOutOfRange(GraphError):
-    """A vertex index lies outside 1..vertex_count."""
-
-
-class UnknownVertex(GraphError):
-    """The queried vertex is not part of the structure."""
+    """A vertex index is not an int in 1..vertex_count."""
 
 
 class FlowExplosion(GraphError):
     """The number of execution flows exceeds the enumeration cap."""
-
-
-@dataclass(frozen=True)
-class AlgorithmGraph:
-    """Validated DAG over real algorithm indices 1..vertex_count.
-
-    ``succ[i]`` and ``pred[i]`` list vertex i's neighbours ascending
-    (entry 0 is empty).  Built through :func:`build_graph`.
-    """
-
-    vertex_count: int
-    succ: tuple
-    pred: tuple
 
 
 class SemiLattice:
@@ -67,20 +49,18 @@ class SemiLattice:
     algorithm i at position i (``reals = range(1, n + 1)``) and the
     finish at ``bottom = n + 1``.  ``succ[r]`` and ``pred[r]`` list
     neighbour positions ascending; ``topo`` is a deterministic
-    topological order.
+    topological order.  Built through :func:`to_semilattice`.
     """
 
-    __slots__ = ("base", "succ", "pred", "top", "reals", "bottom", "size", "topo")
+    __slots__ = ("succ", "pred", "top", "reals", "bottom", "size", "topo")
 
-    def __init__(self, base, succ, pred, topo):
-        n = base.vertex_count
-        self.base = base
+    def __init__(self, succ, pred, topo):
         self.succ = succ
         self.pred = pred
         self.top = 0
-        self.reals = range(1, n + 1)
-        self.bottom = n + 1
-        self.size = n + 2
+        self.size = len(succ)
+        self.bottom = self.size - 1
+        self.reals = range(1, self.bottom)
         self.topo = topo
 
     def name(self, r) -> str:
@@ -93,50 +73,6 @@ class SemiLattice:
 
     def __repr__(self):
         return f"SemiLattice(vertices={self.size})"
-
-
-def build_graph(vertex_count: int, edges) -> AlgorithmGraph:
-    """Validate vertex indices and acyclicity; return the graph.
-
-    ``edges`` is an iterable of (from_index, to_index) pairs on
-    1..vertex_count.  Duplicate edges are rejected, cycles (including
-    self-edges) raise CycleDetected.
-    """
-    if vertex_count < 0:
-        raise IndexOutOfRange(f"vertex count must be non-negative, got {vertex_count}")
-    succ = [set() for _ in range(vertex_count + 1)]
-    pred = [set() for _ in range(vertex_count + 1)]
-    for a, b in edges:
-        if not (1 <= a <= vertex_count) or not (1 <= b <= vertex_count):
-            raise IndexOutOfRange(
-                f"edge ({a}, {b}) outside vertex range 1..{vertex_count}"
-            )
-        if a == b:
-            raise CycleDetected(f"self-edge on vertex {a}")
-        if b in succ[a]:
-            raise GraphError(f"duplicate edge ({a}, {b})")
-        succ[a].add(b)
-        pred[b].add(a)
-
-    # Kahn's algorithm; leftovers mean a directed cycle.
-    indeg = [len(p) for p in pred]
-    queue = [v for v in range(1, vertex_count + 1) if not indeg[v]]
-    processed = 0
-    while queue:
-        v = queue.pop()
-        processed += 1
-        for w in succ[v]:
-            indeg[w] -= 1
-            if not indeg[w]:
-                queue.append(w)
-    if processed != vertex_count:
-        raise CycleDetected("edge set contains a directed cycle")
-
-    return AlgorithmGraph(
-        vertex_count,
-        tuple(tuple(sorted(s)) for s in succ),
-        tuple(tuple(sorted(p)) for p in pred),
-    )
 
 
 def weak_component_count(vertex_count: int, edges) -> int:
@@ -158,27 +94,46 @@ def weak_component_count(vertex_count: int, edges) -> int:
     return count
 
 
-def to_semilattice(g: AlgorithmGraph) -> SemiLattice:
-    """Lift a weakly connected graph with a virtual start and finish.
+def to_semilattice(vertex_count: int, edges) -> SemiLattice:
+    """Validate a DAG on 1..vertex_count and lift it with a virtual start
+    and finish, in one pass.
 
-    The start points at every in-degree-0 vertex and every out-degree-0
-    vertex points at the finish; a lone vertex gets both edges.  A graph
-    without vertices, or with more than one weak component, raises
-    GraphError: its lattice would have no single start and finish.
+    ``edges`` is an iterable of (from_index, to_index) pairs.  An index
+    that is not an int in 1..vertex_count raises IndexOutOfRange, a
+    duplicate edge GraphError, and a cycle (self-edges included)
+    CycleDetected; a graph without vertices raises GraphError.  The start
+    points at every in-degree-0 vertex and every out-degree-0 vertex
+    points at the finish; a lone vertex gets both edges.  Connectivity is
+    a scenario rule (:func:`~hyperalloc.scenario.check_scenario`): a
+    graph in several parts still gets one start and one finish.
     """
-    n = g.vertex_count
-    components = weak_component_count(n, [(a, b) for a in range(1, n + 1) for b in g.succ[a]])
-    if components != 1:
-        raise GraphError(f"graph must be weakly connected with at least one vertex, got {components} components")
+    n = vertex_count
+    if n < 1:
+        raise GraphError(f"graph needs at least one vertex, got {n}")
     top, bottom = 0, n + 1
-    # algorithm i sits at position i, so the graph's own lists are already positions
-    succ = [tuple(i for i in range(1, n + 1) if not g.pred[i])]
-    succ += [ws or (bottom,) for ws in g.succ[1:]]
-    succ.append(())
-    pred = [()] + [ps or (top,) for ps in g.pred[1:]]
-    pred.append(tuple(i for i in range(1, n + 1) if not g.succ[i]))
+    succ = [set() for _ in range(n + 2)]
+    pred = [set() for _ in range(n + 2)]
+    for a, b in edges:
+        if not (isinstance(a, int) and isinstance(b, int) and 1 <= a <= n and 1 <= b <= n):
+            raise IndexOutOfRange(f"edge ({a}, {b}) outside vertex range 1..{n}")
+        if a == b:
+            raise CycleDetected(f"self-edge on vertex {a}")
+        if b in succ[a]:
+            raise GraphError(f"duplicate edge ({a}, {b})")
+        succ[a].add(b)
+        pred[b].add(a)
+    for i in range(1, n + 1):
+        if not pred[i]:
+            succ[top].add(i)
+            pred[i].add(top)
+        if not succ[i]:
+            succ[i].add(bottom)
+            pred[bottom].add(i)
+    succ = tuple(tuple(sorted(ws)) for ws in succ)
+    pred = tuple(tuple(sorted(ps)) for ps in pred)
 
-    # Deterministic topological order: a heap of positions pops the lowest ready one.
+    # Deterministic topological order: a heap of positions pops the lowest
+    # ready one.  A position on or behind a cycle never becomes ready.
     indeg = [len(p) for p in pred]
     heap = [top]  # the only vertex without a predecessor
     topo = []
@@ -189,8 +144,9 @@ def to_semilattice(g: AlgorithmGraph) -> SemiLattice:
             indeg[w] -= 1
             if not indeg[w]:
                 heapq.heappush(heap, w)
-
-    return SemiLattice(g, tuple(succ), tuple(pred), tuple(topo))
+    if len(topo) != n + 2:
+        raise CycleDetected("edge set contains a directed cycle")
+    return SemiLattice(succ, pred, tuple(topo))
 
 
 def count_execution_flows(sl: SemiLattice) -> int:
@@ -229,24 +185,24 @@ def execution_flows(sl: SemiLattice, cap: int = DEFAULT_FLOW_CAP) -> list:
     return flows
 
 
-def flow_predecessors(sl: SemiLattice, r: int) -> list:
-    """Positions of the real vertices that precede position ``r`` in at
-    least one execution flow, ascending.
+def flow_predecessors(sl: SemiLattice) -> np.ndarray:
+    """Boolean ``size`` x ``size`` matrix whose entry (r, p) is True when
+    real vertex p precedes position r in at least one execution flow.
 
-    Equals the real ancestors of ``r`` in the lifted graph: any ancestor
-    extends upward to the start and ``r`` always reaches the finish, so
-    some flow passes through both.
+    That is when p is a real ancestor of r in the lifted graph: any
+    ancestor extends upward to the start and r always reaches the finish,
+    so some flow passes through both.  Rows are filled in ``sl.topo``
+    order, each the union of its direct predecessors' rows, which hold
+    their own positions on the diagonal until the sweep ends.
     """
-    if not 0 <= r < sl.size:
-        raise UnknownVertex(f"position {r} not in lattice")
-    seen = set(sl.pred[r])
-    frontier = list(seen)
-    while frontier:
-        for w in sl.pred[frontier.pop()]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return sorted(seen.intersection(sl.reals))
+    before = np.zeros((sl.size, sl.size), dtype=bool)
+    for r in sl.topo:
+        if sl.pred[r]:
+            np.logical_or.reduce(before[list(sl.pred[r])], axis=0, out=before[r])
+        before[r, r] = True
+    np.fill_diagonal(before, False)
+    before[:, sl.top] = False  # the start is virtual
+    return before
 
 
 def max_flow_length(sl: SemiLattice) -> int:

@@ -20,10 +20,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .allocator import NodeSchedule, allocate, commit_decision
-from .delays import delay_mean, substream
+from .delays import added_in_order, delay_mean, substream
 from .errors import HyperallocError
 from .graphs import (
-    build_graph,
     execution_flows,
     flow_critical_cost,
     max_flow_length,
@@ -79,7 +78,7 @@ class _Engine:
         self.labels = tuple(ref.label for ref in self.net.ordered)
         self.profile = RequestProfile(sc.requests)
         self.lattices = {
-            task.task_id: to_semilattice(build_graph(len(task.labels), task.edges))
+            task.task_id: to_semilattice(len(task.labels), task.edges)
             for task in sc.tasks.values()
         }
         self.convergence = {}
@@ -198,9 +197,8 @@ class _Engine:
         if exec_costs is None:
             exec_costs = self._exec_costs[task_id] = self._critical_exec_costs(task_id)
         delays = self.delays(task_id, label)
-        comm = 0.0
-        for dst in sorted(delays):  # by label: with 3+ targets another order can round differently
-            comm += delay_mean(delays[dst])
+        # by label: with 3+ targets another order can round differently
+        comm = added_in_order(delay_mean(delays[dst]) for dst in sorted(delays))
         total = exec_costs[label] + comm
         if not 0 < total < math.inf:
             raise EngineError(

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HyperallocError
-from .graphs import GraphError, build_graph, weak_component_count
+from .graphs import GraphError, to_semilattice, weak_component_count
 from .network import MODES, NODE_KINDS, node_order
 from .subspaces import Subspace
 
@@ -541,7 +541,7 @@ def _check_task(sc, key, task, nodes, bad):
     n = len(task.labels)
 
     try:
-        build_graph(n, task.edges)
+        to_semilattice(n, task.edges)
     except GraphError as exc:
         bad(key, f"task {task_id}: {exc}")
         return
@@ -612,29 +612,32 @@ def set_option(opts: RunOptions, name: str, value) -> None:
     of its type.  Raises KeyError for an unknown option name and
     ValueError for a value the option does not accept.
     """
-    if name == "mode":
-        if value not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {value!r}")
-    elif name == "seed":
-        value = _integer(value)
-        if not 0 <= value < 2**63:
-            raise ValueError(f"seed must lie in [0, 2**63), got {value}")
-    elif name == "subspaces":
-        value = _subspace_selection(value)
-    elif name == "step":
-        value = float(value)
-        if not 0 < value <= 1:
-            raise ValueError(f"step must lie in (0, 1], got {value}")
-    elif name == "tol":
-        value = float(value)
-        if not 0 < value < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {value}")
-    elif name == "max_iter":
-        value = _integer(value)
-        if value < 1:
-            raise ValueError(f"max_iter must be >= 1, got {value}")
-    else:
-        raise KeyError(name)
+    try:
+        if name == "mode":
+            if value not in MODES:
+                raise ValueError(f"mode must be one of {MODES}, got {value!r}")
+        elif name == "seed":
+            value = _integer(value)
+            if not 0 <= value < 2**63:
+                raise ValueError(f"seed must lie in [0, 2**63), got {value}")
+        elif name == "subspaces":
+            value = _subspace_selection(value)
+        elif name == "step":
+            value = float(value)
+            if not 0 < value <= 1:
+                raise ValueError(f"step must lie in (0, 1], got {value}")
+        elif name == "tol":
+            value = float(value)
+            if not 0 < value < math.inf:
+                raise ValueError(f"tol must be positive and finite, got {value}")
+        elif name == "max_iter":
+            value = _integer(value)
+            if value < 1:
+                raise ValueError(f"max_iter must be >= 1, got {value}")
+        else:
+            raise KeyError(name)
+    except TypeError:  # a value of no type the option reads, such as a list
+        raise ValueError(f"{name} does not accept {value!r}") from None
     setattr(opts, name, value)
 
 

@@ -106,11 +106,12 @@ def pi_init(sl: SemiLattice, et, capable, ct, fixed, step: float) -> CapabilityS
     by its capable nodes.
     """
     n_rows, n_nodes = et.shape
-    pred_rows = [flow_predecessors(sl, r) for r in range(n_rows)]
-    width = np.array([len(preds) for preds in pred_rows], dtype=np.intp)
+    # np.nonzero walks the matrix row by row, so each row's predecessors
+    # come out ascending; each goes to the next free slot of its row.
+    rows, preds = np.nonzero(flow_predecessors(sl))
+    width = np.bincount(rows, minlength=n_rows)
     pred_index = np.full((n_rows, width.max(initial=0)), n_rows, dtype=np.intp)
-    for r, preds in enumerate(pred_rows):
-        pred_index[r, : len(preds)] = preds
+    pred_index[rows, np.arange(len(rows)) - np.repeat(np.cumsum(width) - width, width)] = preds
 
     # Any node can come to host a flow predecessor, so no round-trip total
     # the dynamics reach exceeds ``width`` of a node's largest round trips
@@ -125,10 +126,12 @@ def pi_init(sl: SemiLattice, et, capable, ct, fixed, step: float) -> CapabilityS
 
     # Rows are filled one topological level at a time: a row's level lies
     # above those of all its flow predecessors, whose hosts are then known.
+    # Levels rise along every edge, so the highest of them is that of a
+    # real direct predecessor.
     depth = [0] * n_rows
     levels = []
     for r in sl.topo:
-        depth[r] = 1 + max((depth[p] for p in pred_rows[r]), default=-1)
+        depth[r] = 1 + max((depth[p] for p in sl.pred[r] if p in sl.reals), default=-1)
         if depth[r] == len(levels):
             levels.append([])
         levels[depth[r]].append(r)
@@ -208,7 +211,7 @@ def omega_update(state: CapabilityState, denom=None) -> np.ndarray:
     return np.where(drifts, state.step * (u - share), 0.0)
 
 
-def pi_limit(state: CapabilityState, tol: float = 1e-6, max_iter: int = 10_000) -> CapabilityState:
+def pi_limit(state: CapabilityState, tol: float, max_iter: int) -> CapabilityState:
     """Iterate the dynamics until the entrywise change drops below tol.
 
     The drift is recomputed only when ``argmax(pi, axis=1)``, the most

@@ -16,7 +16,7 @@ import numpy as np
 
 from hyperalloc.allocator import IDLE_TASK, ScheduleEntry, WindowViolation
 from hyperalloc.delays import ErlangDelay, delay_mean, delay_sum, sample_delay, substream
-from hyperalloc.graphs import build_graph, to_semilattice
+from hyperalloc.graphs import to_semilattice
 from hyperalloc.network import ict, round_trip_matrix, shortest_comm_path
 from hyperalloc.subspaces import (
     CapabilityState,
@@ -423,7 +423,7 @@ def score_per_arrival(sc, opts, net, profile, states, task_id, arrival_idx):
     labels = spec.candidates if spec.candidates is not None else [ref.label for ref in net.ordered]
     if Subspace.CPLT in opts.subspaces and task_id not in states:
         state = pi_init_labels(
-            to_semilattice(build_graph(len(spec.labels), spec.edges)),
+            to_semilattice(len(spec.labels), spec.edges),
             tuple(ref.label for ref in net.ordered),
             spec.exec_times,
             incapable=spec.incapable,
@@ -508,10 +508,9 @@ def random_network(rng, max_nodes=6):
 
 def ancestor_rows(sl):
     """Per lattice row, the rows of its real flow ancestors, ascending,
-    from the edge list of the lattice's input graph."""
-    g = sl.base
-    edges = [(a, b) for a in range(1, g.vertex_count + 1) for b in g.succ[a]]
-    return lifted_ancestors(g.vertex_count, edges)
+    from the lattice's real-to-real edges."""
+    edges = [(a, b) for a in sl.reals for b in sl.succ[a] if b in sl.reals]
+    return lifted_ancestors(len(sl.reals), edges)
 
 
 def predecessor_rows(state):
@@ -552,7 +551,7 @@ def pi_init_rows(sl, nodes, exec_times, incapable=(), net=None, assignment=None,
     """
     nodes = tuple(nodes)
     n_nodes = len(nodes)
-    n_rows = sl.base.vertex_count + 2  # the start, algorithm i at row i, the finish
+    n_rows = sl.size  # the start, algorithm i at row i, the finish
     et = np.zeros((n_rows, n_nodes))
     for c, label in enumerate(nodes):
         for i, value in enumerate(exec_times[label], start=1):

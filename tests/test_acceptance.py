@@ -14,7 +14,6 @@ import numpy as np
 from hyperalloc.allocator import NO_CAPABLE_NODE, NodeSchedule, allocate, commit_decision
 from hyperalloc.delays import delay_mean, sample_delay, substream
 from hyperalloc.graphs import (
-    build_graph,
     count_execution_flows,
     execution_flows,
     to_semilattice,
@@ -92,7 +91,7 @@ def test_02_decision_golden():
 
 def test_03_relative_speed_reconstruction():
     with criterion(3, "uniform 0.2 start row exact; injected finish row lands within 1e-3"):
-        sl = to_semilattice(build_graph(8, TASK_EDGES))
+        sl = to_semilattice(8, TASK_EDGES)
         plain = pi_init_labels(sl, NODES, EXEC_TIMES)
         assert all(v == 0.2 for v in plain.pi[sl.top])
 
@@ -157,7 +156,7 @@ def test_06_flow_oracle():
         rng = random.Random(601)
         for _ in range(200):
             n, edges = connected_dag(rng)
-            sl = to_semilattice(build_graph(n, edges))
+            sl = to_semilattice(n, edges)
             got = [flow[1:-1] for flow in execution_flows(sl)]  # the algorithms between start and finish
             want = enumerate_flows(n, edges)
             assert count_execution_flows(sl) == len(want)
@@ -174,7 +173,7 @@ def test_07_dynamics_invariants():
             m = rng.randint(2, 5)
             labels = [f"n{i}" for i in range(1, m + 1)]
             n, edges = connected_dag(rng, max_vertices=6, p=0.4)
-            sl = to_semilattice(build_graph(n, edges))
+            sl = to_semilattice(n, edges)
             exec_times = {
                 label: [rng.uniform(0.5, 5.0) for _ in range(n)] for label in labels
             }

@@ -78,6 +78,16 @@ CODE_BUILT = {
         ParseError,
         "task T: edge set contains a directed cycle",
     ),
+    "fractional edge index": (
+        lambda sc: setattr(sc.tasks["T"], "edges", [(1.0, 2.0)]),
+        ParseError,
+        "task T: edge (1.0, 2.0) outside vertex range 1..8",
+    ),
+    "text edge index": (
+        lambda sc: setattr(sc.tasks["T"], "edges", [("1", "2")]),
+        ParseError,
+        "task T: edge (1, 2) outside vertex range 1..8",
+    ),
     "fractional request count": (
         lambda sc: setitem(sc.requests, ("T", "R1", "F"), 2.5),
         ParseError,

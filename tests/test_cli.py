@@ -360,8 +360,8 @@ def test_inspect_bytes_are_pinned(capsys, scenario, what):
 
 @pytest.mark.parametrize("command", [["allocate"], ["inspect", "--what", "flows"]])
 def test_disconnected_task_graph_is_a_located_issue(capsys, tmp_path, command):
-    # a flow lattice has one start and one finish: the parser rejects a task
-    # graph in two parts (exit 1) before to_semilattice could (exit 2)
+    # connectivity is a scenario rule, not a lifting one: the parser rejects
+    # a task graph in two parts (exit 1), which to_semilattice would lift
     text = (SCENARIO_DIR / "three_robots.scn").read_text(encoding="utf-8")
     assert "edge A4 -> A5\n" in text
     bad = tmp_path / "split.scn"

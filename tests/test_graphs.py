@@ -8,8 +8,6 @@ from hyperalloc.graphs import (
     FlowExplosion,
     GraphError,
     IndexOutOfRange,
-    UnknownVertex,
-    build_graph,
     count_execution_flows,
     execution_flows,
     flow_critical_cost,
@@ -34,7 +32,7 @@ EDGES = [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (5, 7), (6, 8), (7, 8)]
 
 
 def reference_lattice():
-    return to_semilattice(build_graph(8, EDGES))
+    return to_semilattice(8, EDGES)
 
 
 def real_path(flow):
@@ -42,22 +40,29 @@ def real_path(flow):
     return flow[1:-1]
 
 
-def test_build_graph_rejects_bad_edges():
+def test_to_semilattice_rejects_bad_edges():
     with pytest.raises(IndexOutOfRange):
-        build_graph(3, [(1, 4)])
+        to_semilattice(3, [(1, 4)])
     with pytest.raises(IndexOutOfRange):
-        build_graph(3, [(0, 1)])
-    with pytest.raises(GraphError):
-        build_graph(3, [(1, 1)])
-    with pytest.raises(GraphError):
-        build_graph(3, [(1, 2), (1, 2)])
+        to_semilattice(3, [(0, 1)])
+    with pytest.raises(GraphError, match="duplicate edge"):
+        to_semilattice(3, [(1, 2), (1, 2)])
+    # an index must be an int, as an assignment's or an incapable entry's must
+    for edge in [(1.0, 2.0), ("1", "2"), (1, None)]:
+        with pytest.raises(IndexOutOfRange, match="outside vertex range 1..3"):
+            to_semilattice(3, [edge])
 
 
-def test_build_graph_rejects_cycles():
-    with pytest.raises(CycleDetected):
-        build_graph(3, [(1, 2), (2, 3), (3, 1)])
-    with pytest.raises(CycleDetected):
-        build_graph(2, [(1, 2), (2, 1)])
+def test_to_semilattice_rejects_cycles():
+    with pytest.raises(CycleDetected, match="self-edge on vertex 1"):
+        to_semilattice(3, [(1, 1)])
+    with pytest.raises(CycleDetected, match="directed cycle"):
+        to_semilattice(3, [(1, 2), (2, 3), (3, 1)])
+    with pytest.raises(CycleDetected, match="directed cycle"):
+        to_semilattice(2, [(1, 2), (2, 1)])
+    # a cycle reached from a source: its positions never become ready
+    with pytest.raises(CycleDetected, match="directed cycle"):
+        to_semilattice(4, [(1, 2), (2, 3), (3, 2), (3, 4)])
 
 
 def test_lattice_names_its_positions():
@@ -74,14 +79,20 @@ def test_semilattice_structure_single_component():
     assert sl.succ[4] == (5,) and sl.pred[4] == (2, 3)
 
 
-def test_to_semilattice_rejects_more_than_one_component():
-    with pytest.raises(GraphError, match="weakly connected"):
-        to_semilattice(build_graph(4, [(1, 2), (3, 4)]))
+def test_a_graph_in_two_parts_lifts_to_one_start_and_one_finish():
+    # connectivity is a scenario rule (test_cli's disconnected task graph)
+    sl = to_semilattice(4, [(1, 2), (3, 4)])
+    assert (sl.top, sl.reals, sl.bottom, sl.size) == (0, range(1, 5), 5, 6)
+    assert sl.succ[sl.top] == (1, 3) and sl.pred[sl.bottom] == (2, 4)
+    assert sl.topo == (0, 1, 2, 3, 4, 5)
+    assert [real_path(f) for f in execution_flows(sl)] == [(1, 2), (3, 4)]
+    assert np.array_equal(flow_predecessors(sl)[sl.bottom], [False, True, True, True, True, False])
 
 
 def test_to_semilattice_rejects_a_graph_without_vertices():
-    with pytest.raises(GraphError, match="at least one vertex"):
-        to_semilattice(build_graph(0, []))
+    for n in (0, -1):
+        with pytest.raises(GraphError, match="at least one vertex"):
+            to_semilattice(n, [])
 
 
 def test_reference_flows_and_count():
@@ -98,7 +109,7 @@ def test_reference_flows_and_count():
 
 def test_long_chain_enumerates_without_recursion():
     n = 1500
-    sl = to_semilattice(build_graph(n, [(v, v + 1) for v in range(1, n)]))
+    sl = to_semilattice(n, [(v, v + 1) for v in range(1, n)])
     flows = execution_flows(sl)
     assert len(flows) == 1
     assert flows[0][0] == sl.top
@@ -114,7 +125,7 @@ def test_flow_cap_checked_before_enumeration():
     for _ in range(21):
         edges += [(v, v + 1), (v, v + 2), (v + 1, v + 3), (v + 2, v + 3)]
         v += 3
-    sl = to_semilattice(build_graph(v, edges))
+    sl = to_semilattice(v, edges)
     assert count_execution_flows(sl) == 2**21
     with pytest.raises(FlowExplosion):
         execution_flows(sl)
@@ -127,18 +138,30 @@ def test_flow_cap_checked_before_enumeration():
 
 def test_flow_predecessors_are_flow_ancestors():
     sl = reference_lattice()
-    assert flow_predecessors(sl, 4) == [1, 2, 3]
-    assert flow_predecessors(sl, 1) == []
-    assert flow_predecessors(sl, sl.bottom) == list(sl.reals)
-    with pytest.raises(UnknownVertex):
-        flow_predecessors(sl, sl.size)
+    before = flow_predecessors(sl)
+    assert before.shape == (sl.size, sl.size) and before.dtype == bool
+    assert np.flatnonzero(before[4]).tolist() == [1, 2, 3]
+    assert np.flatnonzero(before[1]).tolist() == []
+    assert np.flatnonzero(before[sl.top]).tolist() == []
+    assert np.flatnonzero(before[sl.bottom]).tolist() == list(sl.reals)
+
+
+def test_flow_predecessors_of_a_long_chain():
+    n = 3000
+    sl = to_semilattice(n, [(v, v + 1) for v in range(1, n)])
+    before = flow_predecessors(sl)
+    for r in (1, 2, 1500, n, sl.bottom):
+        assert np.flatnonzero(before[r]).tolist() == list(range(1, r))
+    # row r holds exactly 1..r-1: every row's count, and nothing above the diagonal
+    assert np.array_equal(before.sum(axis=1), [0, *range(n + 1)])
+    assert not np.triu(before).any()
 
 
 def test_lifted_order_matches_reference():
     for seed in range(30):
         rng = random.Random(seed)
         n, edges = connected_dag(rng)
-        sl = to_semilattice(build_graph(n, edges))
+        sl = to_semilattice(n, edges)
         assert (sl.top, sl.reals, sl.bottom, sl.size) == (0, range(1, n + 1), n + 1, n + 2)
         assert ["top1", *sl.reals, "bot1"] == lifted_order(n, edges)
 
@@ -156,7 +179,7 @@ def test_flows_match_oracle_quick():
     rng = random.Random(42)
     for _ in range(50):
         n, edges = connected_dag(rng)
-        sl = to_semilattice(build_graph(n, edges))
+        sl = to_semilattice(n, edges)
         got = [real_path(f) for f in execution_flows(sl)]
         assert got == enumerate_flows(n, edges)
         assert count_execution_flows(sl) == len(got)
@@ -174,18 +197,18 @@ def oracle_graphs():
 def test_topo_and_flow_predecessors_match_oracles():
     forked = 0
     for n, edges in oracle_graphs():
-        sl = to_semilattice(build_graph(n, edges))
+        sl = to_semilattice(n, edges)
         forked += len(sl.succ[sl.top]) > 1 and len(sl.pred[sl.bottom]) > 1  # several sources and sinks
         order = lifted_order(n, edges)
         assert list(sl.topo) == [order.index(v) for v in lifted_topo(n, edges)]
-        assert [flow_predecessors(sl, r) for r in range(sl.size)] == lifted_ancestors(n, edges)
+        assert [np.flatnonzero(row).tolist() for row in flow_predecessors(sl)] == lifted_ancestors(n, edges)
     assert forked >= 10
 
 
 def test_cost_matrix_columns_match_scalar_oracle():
     rng = random.Random(809)
     for n, edges in oracle_graphs():
-        sl = to_semilattice(build_graph(n, edges))
+        sl = to_semilattice(n, edges)
         rows = [[rng.uniform(0.0, 9.9) for _ in range(n)] for _ in range(4)]  # one per node
         cost = np.zeros((sl.size, len(rows)))
         cost[sl.reals.start : sl.reals.stop] = np.transpose(rows)

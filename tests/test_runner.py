@@ -121,6 +121,12 @@ BAD_OPTIONS = [
     ("subspaces", (Subspace.CPLT, "cplt"), "selected twice"),
     ("subspaces", "", "empty subspace selection"),
     ("subspaces", [], "empty subspace selection"),
+    # a value of a type the option cannot read at all
+    ("subspaces", 5, "subspaces does not accept 5"),
+    ("step", [0.1], "step does not accept"),
+    ("tol", 1j, "tol does not accept"),
+    ("max_iter", [3], "max_iter does not accept"),
+    ("seed", [1], "seed does not accept"),
 ]
 
 

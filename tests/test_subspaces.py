@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hyperalloc import subspaces
-from hyperalloc.graphs import build_graph, execution_flows, to_semilattice
+from hyperalloc.graphs import execution_flows, to_semilattice
 from hyperalloc.network import (
     NetworkModel,
     RequestProfile,
@@ -52,7 +52,7 @@ ASSIGN = {1: "C", 2: "C", 3: "F", 4: "C", 5: "C", 6: "C", 7: "F", 8: "C"}
 
 
 def lattice():
-    return to_semilattice(build_graph(8, EDGES))
+    return to_semilattice(8, EDGES)
 
 
 def calibrated_net():
@@ -132,7 +132,7 @@ def test_first_row_uses_relative_execution_speed():
 
 
 def test_zero_exec_time_gets_full_speed_factor():
-    sl = to_semilattice(build_graph(2, [(1, 2)]))
+    sl = to_semilattice(2, [(1, 2)])
     state = pi_init_labels(sl, ("X", "Y"), {"X": [4.0, 1.0], "Y": [0.0, 1.0]})
     r = 1
     # node Y executes step 1 in no time: its factor is 1, X gets 1 - 4/4 = 0
@@ -154,17 +154,17 @@ def test_incapable_entries_stay_zero():
 
 def test_rows_without_pull_are_shared_evenly_by_their_capable_nodes():
     # a single node: relative speed vanishes, and the node takes every row
-    state = pi_init_labels(to_semilattice(build_graph(1, [])), ("N",), {"N": [3.0]})
+    state = pi_init_labels(to_semilattice(1, []), ("N",), {"N": [3.0]})
     assert state.pi.tolist() == [[1.0]] * 3
     # X holds all the time of A2 and A3, so its first factor there is 0, and Y is incapable
-    sl3 = to_semilattice(build_graph(3, [(1, 2), (1, 3)]))
+    sl3 = to_semilattice(3, [(1, 2), (1, 3)])
     state = pi_init_labels(sl3, ("X", "Y"), {"X": [1, 2, 3], "Y": [3, 0, 0]}, incapable=(("Y", 2), ("Y", 3)))
     for v in (2, 3):
         assert state.pi[v].tolist() == [1.0, 0.0]
     # A1 leans to B, where A2's flow predecessor then sits: A's round trip
     # zeroes A's second factor on A2, and B's share of A2's time its first
     net = NetworkModel([("A", "robot"), ("B", "fog")], [("A", "B", 1.0, 1.0)])
-    sl2 = to_semilattice(build_graph(2, [(1, 2)]))
+    sl2 = to_semilattice(2, [(1, 2)])
     state = pi_init_labels(sl2, ("A", "B"), {"A": [5.0, 0.0], "B": [0.0, 5.0]}, net=net)
     assert state.pi[1].tolist() == [0.0, 1.0]
     assert state.pi[2].tolist() == [0.5, 0.5]
@@ -202,7 +202,7 @@ def test_pi_limit_invariants_on_random_states():
     rng = random.Random(11)
     for _ in range(10):
         n, edges = connected_dag(rng, max_vertices=6)
-        sl = to_semilattice(build_graph(n, edges))
+        sl = to_semilattice(n, edges)
         nodes = tuple(f"n{i}" for i in range(rng.randint(2, 4)))
         exec_times = {
             label: [rng.choice((0.5, 1.0, 2.0, 4.0)) for _ in range(n)] for label in nodes
@@ -287,7 +287,7 @@ def random_networked_states(rng, count):
         )
         nodes = tuple(ref.label for ref in net.ordered)
         n, edges = connected_dag(rng, max_vertices=20, p=0.35)
-        sl = to_semilattice(build_graph(n, edges))
+        sl = to_semilattice(n, edges)
         exec_times = {label: [rng.uniform(0.5, 5.0) for _ in range(n)] for label in nodes}
         incapable = [(label, v) for label in nodes[1:] for v in range(1, n + 1) if rng.random() < 0.15]
 
@@ -413,7 +413,7 @@ def test_overall_comm_bound_on_deep_lattice():
         for a in (1, 2)
         for b in (1, 2)
     ]
-    sl = to_semilattice(build_graph(2 * layers, edges))
+    sl = to_semilattice(2 * layers, edges)
     et = np.zeros((sl.size, 2))
     et[sl.reals.start : sl.reals.stop] = [1.0, 2.0]
     capable = np.ones(et.shape, dtype=bool)
