@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .allocator import NodeSchedule, allocate, commit_decision
-from .delays import added_in_order, delay_mean, substream
+from .delays import added_in_order, delay_mean, seat, substream
 from .errors import HyperallocError
 from .graphs import (
     execution_flows,
@@ -51,6 +51,10 @@ from .subspaces import (
 
 class EngineError(HyperallocError):
     """A well-formed scenario that cannot be executed."""
+
+
+# sample mode seeds the draw streams of whole arrivals until a block holds this many
+_SEED_BLOCK = 4096
 
 
 @dataclass
@@ -89,6 +93,9 @@ class _Engine:
         self._compiled = {}  # task -> (et, capable, fixed)
         self._exec_costs = {}  # task -> {node label: critical-path execution time}
         self._tables = {}  # task -> (candidate rows by node index, row positions to redraw)
+        # one generator, reseated for every sample-mode draw
+        self._rng = np.random.Generator(np.random.PCG64(0)) if self.opts.mode == "sample" else None
+        self._block = 0, [0], None  # first arrival, row offset per arrival, seed words
 
     def compiled(self, task_id: str) -> tuple:
         """A task's capability input, built at its first use: ``(et,
@@ -135,10 +142,11 @@ class _Engine:
             rows, redraw = self._tables[task_id]
             if redraw:
                 rows = rows.copy()
+                streams = self._streams(arrival_idx)
                 for pos in redraw:
                     label, idx, scores, _ = rows[pos]
                     scores = dict(scores)  # same key order, so the same product order
-                    value = self._comm_score(task_id, arrival_idx, label, idx)
+                    value = self._comm_score(task_id, label, streams)
                     scores[Subspace.COMM] = check_score(Subspace.COMM, value)
                     rows[pos] = (label, idx, scores, combine_values(scores.values()))
             return rows
@@ -146,6 +154,8 @@ class _Engine:
         subspaces = self.opts.subspaces
         # built first, so its warning precedes the deadline warnings
         state = self.capability_state(task_id) if Subspace.CPLT in subspaces else None
+        drawn = self.opts.mode == "sample" and Subspace.COMM in subspaces
+        streams = self._streams(arrival_idx) if drawn else None
         declared = []
         for label in spec.candidates if spec.candidates is not None else self.labels:
             idx = self.net.node(label).idx
@@ -154,22 +164,22 @@ class _Engine:
                 if subspace is Subspace.CMPT:
                     value = 0.0 if (task_id, label) in self.sc.incompatible else 1.0
                 elif subspace is Subspace.COMM:
-                    value = self._comm_score(task_id, arrival_idx, label, idx)
+                    value = self._comm_score(task_id, label, streams)
                 else:
                     value = cplt_score(state, idx - 1)
                 scores[subspace] = check_score(subspace, value)
             declared.append((label, idx, scores, combine_values(scores.values())))
         rows = sorted(declared, key=lambda row: row[1])
-        drawn = self.opts.mode == "sample" and Subspace.COMM in subspaces
         self._tables[task_id] = rows, [rows.index(row) for row in declared] if drawn else ()
         return rows
 
-    def _comm_score(self, task_id, arrival_idx, label, idx) -> float:
+    def _comm_score(self, task_id, label, streams) -> float:
+        """The comm score of a task at a node: its override, else from the
+        expected delays, or in sample mode from the next of ``streams``."""
         value = self.sc.overrides_comm.get((task_id, label))
         if value is not None:
             return value
-        rng = substream(self.opts.seed, 1, arrival_idx, idx) if self.opts.mode == "sample" else None
-        comt = com_t_max(self.delays(task_id, label), rng)
+        comt = com_t_max(self.delays(task_id, label), None if streams is None else next(streams))
         deadline = self.sc.tasks[task_id].window[1]
         if comt > deadline and (task_id, label) not in self._late:
             # once per pair: in sample mode later draws would add a line each
@@ -179,6 +189,40 @@ class _Engine:
                 f"exceeds deadline {deadline:.6g}"
             )
         return ict(comt)
+
+    def _streams(self, arrival_idx: int):
+        """The generators of an arrival's comm draws, one per candidate
+        without a comm override in declared order: the engine's one
+        generator, seated in turn on each stream
+        ``substream(seed, 1, arrival_idx, node index)`` starts."""
+        first, offsets, words = self._block
+        if not first <= arrival_idx < first + len(offsets) - 1:
+            first, offsets, words = self._block = self._seed_block(arrival_idx)
+        for row in words[offsets[arrival_idx - first] : offsets[arrival_idx - first + 1]].tolist():
+            yield seat(self._rng, row)
+
+    def _seed_block(self, first: int) -> tuple:
+        """Seed words of every draw of whole arrivals from ``first`` on, in
+        draw order, until at least ``_SEED_BLOCK`` are held."""
+        drawn = {}  # task -> node indices of its drawn candidates
+        arrivals, nodes, offsets = [], [], [0]
+        for i in range(first, len(self.sc.arrivals)):
+            task_id = self.sc.arrivals[i][1]
+            task_nodes = drawn.get(task_id)
+            if task_nodes is None:
+                spec = self.sc.tasks[task_id]
+                task_nodes = drawn[task_id] = [
+                    self.net.node(label).idx
+                    for label in (spec.candidates if spec.candidates is not None else self.labels)
+                    if (task_id, label) not in self.sc.overrides_comm
+                ]
+            arrivals += [i] * len(task_nodes)
+            nodes += task_nodes
+            offsets.append(len(nodes))
+            if len(nodes) >= _SEED_BLOCK:
+                break
+        words = substream(self.opts.seed, 1, np.array(arrivals, dtype=np.int64), np.array(nodes, dtype=np.int64))
+        return first, offsets, words
 
     def delays(self, task_id: str, label: str) -> dict:
         """The :func:`comm_delays` table of a task run at a node, built once per run."""

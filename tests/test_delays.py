@@ -1,6 +1,8 @@
 import math
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperalloc.delays import (
     DelaySum,
@@ -8,6 +10,7 @@ from hyperalloc.delays import (
     delay_mean,
     delay_sum,
     sample_delay,
+    seat,
     substream,
 )
 
@@ -78,3 +81,34 @@ def test_sample_mean_tracks_distribution():
     draws = np.array([sample_delay(s, rng) for _ in range(4000)])
     se = math.sqrt(delay_variance(s) / len(draws))
     assert abs(draws.mean() - delay_mean(s)) < 5 * se
+
+
+# seeds and indices on both sides of 2**32, where an entropy int takes a second word
+_seeds = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**63 - 1]), st.integers(0, 2**63 - 1))
+_indices = st.one_of(st.integers(0, 2**16), st.integers(2**32 - 2, 2**32 + 2), st.integers(0, 2**63 - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(seed=_seeds, keys=st.lists(st.tuples(_indices, _indices), max_size=12))
+@example(seed=0, keys=[(0, 0)])
+@example(seed=3, keys=[])
+@example(seed=2**32 - 1, keys=[(0, 1), (2**32, 3), (5, 2**32 - 1), (2**32 - 1, 2**32), (2**40, 2**33)])
+@example(seed=2**32, keys=[(1499, 4), (2**32 + 7, 2**32 + 9)])
+@example(seed=2**63 - 1, keys=[(2**63 - 1, 2**63 - 1), (0, 0)])
+def test_block_seed_words_match_seed_sequence(seed, keys):
+    """One array call, whose keys may mix word widths, gives every key
+    SeedSequence's seed words, and a generator seated on a row draws what
+    the scalar substream draws."""
+    arrivals = np.array([a for a, _ in keys], dtype=np.int64)
+    nodes = np.array([n for _, n in keys], dtype=np.int64)
+    words = substream(seed, 1, arrivals, nodes)
+    assert words.dtype == np.uint64 and words.shape == (len(keys), 4)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for (arrival, node), row in zip(keys, words):
+        entropy = [seed, 1, arrival, node]
+        assert row.tolist() == np.random.SeedSequence(entropy).generate_state(4, np.uint64).tolist()
+        ref = substream(seed, 1, arrival, node)
+        seat(rng, row.tolist())
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.standard_exponential(5).tolist() == ref.standard_exponential(5).tolist()
+        assert rng.random() == ref.random()

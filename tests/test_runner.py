@@ -377,7 +377,8 @@ def test_candidate_rows_match_per_arrival_scoring(monkeypatch, mode, subspaces):
     def bits(scores):
         return [(s, v.hex()) for s, v in scores.items()]
 
-    for seed in range(3):
+    # 2**32 and 2**63 - 1 take two entropy words each, unlike the benchmark's seeds
+    for seed in (0, 1, 2, 2**32, 2**63 - 1):
         sc = parse_scenario(varied_scenario(seed, f"mode {mode}\nseed {seed}\nsubspaces {subspaces}\n"))
         net = NetworkModel(sc.nodes, sc.links)
         profile = RequestProfile(sc.requests)
@@ -452,8 +453,13 @@ def test_expected_mode_scores_each_candidate_once_per_run(monkeypatch):
 
 def test_sample_mode_draws_comm_once_per_arrival_and_candidate_in_declared_order(monkeypatch):
     sc = parse_scenario(varied_scenario(4, "mode sample\nsubspaces comm\n"))
-    draws = record_calls(monkeypatch, "substream", lambda seed, stream, arrival_idx, idx: (arrival_idx, idx))
+    monkeypatch.setattr(runner, "_SEED_BLOCK", 5)  # several blocks, each of whole arrivals
+    blocks = record_calls(
+        monkeypatch, "substream", lambda seed, stream, arrivals, nodes: list(zip(arrivals.tolist(), nodes.tolist()))
+    )
     run(sc)
+    assert len(blocks) > 2
+    draws = [key for block in blocks for key in block]
     net = NetworkModel(sc.nodes, sc.links)
     # declared order, not node-index order: the deadline warnings follow the draws
     by_index = {task: sorted(spec.candidates, key=lambda n: net.node(n).idx) for task, spec in sc.tasks.items()}
