@@ -25,8 +25,12 @@ best it takes the one whose perturbation loss is smallest, then the
 lowest node index.  The loss of a candidate is the summed strict score
 drop over the entries its insertion would shift, added left to right, so
 it is 0 exactly when nothing drops and the winner is then non-perturbing.
-Each candidate's :class:`ImpactReport` lives only inside :func:`allocate`:
-the decision records each candidate's slot and loss as Python floats and
+:func:`allocate` reads the candidates once, keeping the winner as it
+goes.  A candidate on an idle node (every entry ended by the arrival) is
+decided by :func:`schedule_impact`'s idle rule without a report; only the
+winner's :class:`ImpactReport` is built, and it is built as a busy
+node's is, by :func:`schedule_impact` and :func:`reallocation_loss`.  The
+decision records each candidate's slot and loss as Python floats and
 carries the winner's report to :func:`commit_decision`, which applies it
 and clears the field.
 """
@@ -288,36 +292,56 @@ def allocate(task, arrival, arrival_idx, rows, duration_fn, window, schedules) -
     then the lowest node index.  The rationale is ``max-score`` for a
     unique best score, else ``non-perturbing`` when the winner loses
     nothing and ``min-loss`` when it does.
+
+    An idle node's candidate is decided without a report (see the module
+    docstring); only the winner's report is built.
     """
+    lo, hi = window
+    idle_start = max(max(arrival, lo), 0.0)  # the slot on every idle node
     reports = []
-    impacts = []  # (candidate, its ImpactReport) of every admissible candidate
+    best = best_impact = best_duration = None  # the winner so far, its report (None on an idle node), its busy time
+    ties = 0  # admissible candidates at the best score
     for label, idx, scores, combined in rows:
         if combined == 0:
             reports.append(CandidateReport(label, idx, scores, combined, False, "zero-score"))
             continue
         duration = duration_fn(task, label)
-        try:
-            impact = schedule_impact(schedules[label], task, duration, arrival, window, node=label)
-        except WindowViolation:
-            reports.append(CandidateReport(label, idx, scores, combined, False, "window-violation"))
-            continue
-        loss = reallocation_loss(impact)
-        candidate = CandidateReport(label, idx, scores, combined, True, None, loss, impact.start, impact.end)
+        schedule = schedules[label]
+        if arrival >= schedule.last_end:  # schedule_impact's idle branch: nothing moves, nothing is lost
+            if not duration > 0:
+                raise ValueError(f"duration must be positive, got {duration}")
+            impact, loss, start, end = None, 0.0, idle_start, idle_start + duration
+            if end > hi or end == math.inf:
+                reports.append(CandidateReport(label, idx, scores, combined, False, "window-violation"))
+                continue
+        else:
+            try:
+                impact = schedule_impact(schedule, task, duration, arrival, window, node=label)
+            except WindowViolation:
+                reports.append(CandidateReport(label, idx, scores, combined, False, "window-violation"))
+                continue
+            loss, start, end = reallocation_loss(impact), impact.start, impact.end
+        candidate = CandidateReport(label, idx, scores, combined, True, None, loss, start, end)
         reports.append(candidate)
-        impacts.append((candidate, impact))
+        if best is None or combined > best.combined:
+            best, best_impact, best_duration, ties = candidate, impact, duration, 1
+        elif combined == best.combined:
+            ties += 1
+            if loss < best.loss or (loss == best.loss and idx < best.node_idx):
+                best, best_impact, best_duration = candidate, impact, duration
 
-    if not impacts:
+    if best is None:
         return AllocationDecision(task, arrival, arrival_idx, None, NO_CAPABLE_NODE, reports)
-    best = max(c.combined for c, _ in impacts)
-    top = [pair for pair in impacts if pair[0].combined == best]
-    chosen, impact = min(top, key=lambda pair: (pair[0].loss, pair[0].node_idx))
-    if len(top) == 1:
+    if ties == 1:
         rationale = MAX_SCORE
     else:  # a dropped entry scored above 0, so the loss is 0 exactly when nothing drops
-        rationale = NON_PERTURBING if chosen.loss == 0 else MIN_LOSS
+        rationale = NON_PERTURBING if best.loss == 0 else MIN_LOSS
+    if best_impact is None:  # an idle winner: its report, as the busy path builds it
+        best_impact = schedule_impact(schedules[best.node], task, best_duration, arrival, window, node=best.node)
+        reallocation_loss(best_impact)
     # commit-only inputs ride on the report handed over, not on the decision
-    impact.deadline, impact.score = window[1], chosen.combined
-    return AllocationDecision(task, arrival, arrival_idx, chosen.node, rationale, reports, impact)
+    best_impact.deadline, best_impact.score = window[1], best.combined
+    return AllocationDecision(task, arrival, arrival_idx, best.node, rationale, reports, best_impact)
 
 
 def commit_decision(decision: AllocationDecision, schedules) -> None:

@@ -65,16 +65,29 @@ def delay_mean(d: DelaySum) -> float:
     return d.constant + added_in_order(t.mean for t in d.terms)
 
 
+# numpy's .sum() adds fewer values than this left to right, more in pairwise blocks
+_PAIRWISE = 8
+
+
 def sample_delay(d: DelaySum, rng: np.random.Generator) -> float:
     """One draw from the delay distribution using the caller's generator.
 
     Each Erlang term consumes exactly ``shape`` exponential draws in
     canonical term order, so identical generator states yield identical
-    samples.
+    samples.  One call draws them all; a term is ``1 / rate`` times its
+    slice, summed as ``rng.exponential(1 / rate, shape).sum()`` sums it.
     """
+    draws = rng.standard_exponential(sum(t.shape for t in d.terms))
+    values = draws.tolist()
     total = d.constant
+    at = 0
     for t in d.terms:
-        total += float(rng.exponential(1.0 / t.rate, t.shape).sum())
+        scale, stop = 1.0 / t.rate, at + t.shape
+        if t.shape < _PAIRWISE:
+            total += added_in_order([x * scale for x in values[at:stop]])
+        else:
+            total += float((draws[at:stop] * scale).sum())
+        at = stop
     return total
 
 

@@ -136,18 +136,17 @@ class _Engine:
 
         Built, checked and combined at the task's first arrival.  Only sample
         mode with COMM selected changes them later: each arrival redraws comm
-        in declared candidate order (the order of its deadline warnings).
+        in declared candidate order (the order of its deadline warnings),
+        except where an override fixes it, so those rows stay the same objects.
         """
         if task_id in self._tables:
             rows, redraw = self._tables[task_id]
             if redraw:
                 rows = rows.copy()
-                streams = self._streams(arrival_idx)
-                for pos in redraw:
+                for pos, rng in zip(redraw, self._streams(arrival_idx)):
                     label, idx, scores, _ = rows[pos]
                     scores = dict(scores)  # same key order, so the same product order
-                    value = self._comm_score(task_id, label, streams)
-                    scores[Subspace.COMM] = check_score(Subspace.COMM, value)
+                    scores[Subspace.COMM] = check_score(Subspace.COMM, self._comm_from_delays(task_id, label, rng))
                     rows[pos] = (label, idx, scores, combine_values(scores.values()))
             return rows
         spec = self.sc.tasks[task_id]
@@ -170,7 +169,8 @@ class _Engine:
                 scores[subspace] = check_score(subspace, value)
             declared.append((label, idx, scores, combine_values(scores.values())))
         rows = sorted(declared, key=lambda row: row[1])
-        self._tables[task_id] = rows, [rows.index(row) for row in declared] if drawn else ()
+        redraw = [rows.index(row) for row in declared if (task_id, row[0]) not in self.sc.overrides_comm]
+        self._tables[task_id] = rows, redraw if drawn else ()
         return rows
 
     def _comm_score(self, task_id, label, streams) -> float:
@@ -179,7 +179,12 @@ class _Engine:
         value = self.sc.overrides_comm.get((task_id, label))
         if value is not None:
             return value
-        comt = com_t_max(self.delays(task_id, label), None if streams is None else next(streams))
+        return self._comm_from_delays(task_id, label, None if streams is None else next(streams))
+
+    def _comm_from_delays(self, task_id, label, rng) -> float:
+        """The comm score of a task at a node without an override: from the
+        expected delays, or from one draw of each with a generator."""
+        comt = com_t_max(self.delays(task_id, label), rng)
         deadline = self.sc.tasks[task_id].window[1]
         if comt > deadline and (task_id, label) not in self._late:
             # once per pair: in sample mode later draws would add a line each

@@ -14,7 +14,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hyperalloc.allocator import IDLE_TASK, ScheduleEntry, WindowViolation
+from hyperalloc.allocator import (
+    IDLE_TASK,
+    MAX_SCORE,
+    MIN_LOSS,
+    NO_CAPABLE_NODE,
+    NON_PERTURBING,
+    AllocationDecision,
+    CandidateReport,
+    ScheduleEntry,
+    WindowViolation,
+    reallocation_loss,
+    schedule_impact,
+)
 from hyperalloc.delays import ErlangDelay, delay_mean, delay_sum, sample_delay, substream
 from hyperalloc.graphs import to_semilattice
 from hyperalloc.network import ict, round_trip_matrix, shortest_comm_path
@@ -364,7 +376,49 @@ def oracle_decide(candidates, combined, schedules, arrival, durations, window, r
     return pick, "min-loss", admissible[pick]
 
 
+def allocate_full(task, arrival, arrival_idx, rows, duration_fn, window, schedules):
+    """Reference for ``allocator.allocate``: every admissible candidate gets
+    its own ``schedule_impact`` report and ``reallocation_loss``, then the
+    winner is picked in separate passes (the best score, the candidates
+    at it, the least loss and lowest index among those)."""
+    reports = []
+    impacts = []  # (candidate, its ImpactReport) of every admissible candidate
+    for label, idx, scores, combined in rows:
+        if combined == 0:
+            reports.append(CandidateReport(label, idx, scores, combined, False, "zero-score"))
+            continue
+        try:
+            impact = schedule_impact(schedules[label], task, duration_fn(task, label), arrival, window, node=label)
+        except WindowViolation:
+            reports.append(CandidateReport(label, idx, scores, combined, False, "window-violation"))
+            continue
+        loss = reallocation_loss(impact)
+        candidate = CandidateReport(label, idx, scores, combined, True, None, loss, impact.start, impact.end)
+        reports.append(candidate)
+        impacts.append((candidate, impact))
+    if not impacts:
+        return AllocationDecision(task, arrival, arrival_idx, None, NO_CAPABLE_NODE, reports)
+    best = max(c.combined for c, _ in impacts)
+    top = [pair for pair in impacts if pair[0].combined == best]
+    chosen, impact = min(top, key=lambda pair: (pair[0].loss, pair[0].node_idx))
+    if len(top) == 1:
+        rationale = MAX_SCORE
+    else:
+        rationale = NON_PERTURBING if chosen.loss == 0 else MIN_LOSS
+    impact.deadline, impact.score = window[1], chosen.combined
+    return AllocationDecision(task, arrival, arrival_idx, chosen.node, rationale, reports, impact)
+
+
 # ---------------------------------------------------------------- delays
+
+
+def sample_delay_per_term(d, rng):
+    """Reference for ``delays.sample_delay``: one ``exponential`` call and
+    one numpy sum per Erlang term, in canonical term order."""
+    total = d.constant
+    for t in d.terms:
+        total += float(rng.exponential(1.0 / t.rate, t.shape).sum())
+    return total
 
 
 def variance(d):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperalloc import allocator
 from hyperalloc.allocator import (
     IDLE_TASK,
     MAX_SCORE,
@@ -23,7 +24,14 @@ from hyperalloc.allocator import (
 )
 from hyperalloc.subspaces import Subspace, check_score, combine_values
 
-from _oracles import commit_decision_full, deadline_rescorer, nv, reallocation_loss_full, schedule_impact_full
+from _oracles import (
+    allocate_full,
+    commit_decision_full,
+    deadline_rescorer,
+    nv,
+    reallocation_loss_full,
+    schedule_impact_full,
+)
 
 
 def node_schedule(*specs):
@@ -512,6 +520,113 @@ def test_array_schedule_matches_the_full_scan_oracles_bit_for_bit(case):
         deadlines[task] = deadline
     for j, (arrival, duration, window, score) in enumerate(arrivals):
         _place(ours, ref, deadlines, f"t{j}", arrival, duration, window, score)
+
+
+# ------------------------------------- decision loop vs every-candidate reports
+
+
+def _decision_bits(decision):
+    """A decision's choice, every candidate field and the winner's report,
+    floats by their bits."""
+
+    def bits(value):
+        return value.hex() if type(value) is float else value
+
+    candidates = [
+        (c.node, c.node_idx, id(c.scores), bits(c.combined), c.admissible, c.exclusion, bits(c.loss),
+         bits(c.start), bits(c.end))
+        for c in decision.candidates
+    ]
+    impact = decision.impact
+    if impact is not None:
+        impact = (
+            impact.start.hex(), impact.end.hex(), impact.first, [float(x).hex() for x in impact.new_starts],
+            [int(i) for i in impact.dropped], bits(impact.deadline), bits(impact.score), impact.schedule,
+        )
+    return decision.chosen, decision.rationale, candidates, impact
+
+
+def _random_schedule(rng, arrival):
+    """Entries before ``arrival`` and, on about half the nodes, also after it."""
+    schedule = NodeSchedule()
+    t = rng.choice((0.0, 0.5, 2.0))
+    stop = arrival + rng.choice((-1.0, 0.0, 0.0, 3.0, 6.0))
+    while t < stop:
+        length = rng.choice((0.5, 1.0, 2.5))
+        deadline = rng.choice((math.inf, t + length, t + length + 1.0, t + length + 4.0))
+        schedule.insert(len(schedule), f"e{len(schedule)}", t, t + length, rng.choice((0.0, 0.25, 1.0)), deadline)
+        t += length + rng.choice((0.0, 0.0, 0.5, 2.0))
+    return schedule
+
+
+def test_allocate_matches_the_every_candidate_reference_on_mixed_schedules():
+    rng = random.Random(20261022)
+    seen = dict.fromkeys(
+        ("idle winner", "busy winner", "late window", "idle deadline miss", "idle inf end", "inf tie", "tie",
+         "zero score", "no capable node", "min-loss"),
+        0,
+    )
+    for case in range(400):
+        arrival = rng.choice((0.0, 3.0, 7.5))
+        labels = [f"n{i}" for i in range(1, rng.randint(2, 7))]
+        schedules = {label: _random_schedule(rng, arrival) for label in labels}
+        for step in range(3):
+            lo = rng.choice((0.0, 0.0, arrival + 1.5, 1e308))
+            hi = rng.choice((math.inf, math.inf, arrival + 2.0, arrival + 5.0))
+            durations = {label: rng.choice((0.5, 1.5, 3.0, 1e308)) for label in labels}
+            values = {label: rng.choice((0.0, 0.25, 0.5, 0.5, 1.0, math.inf)) for label in labels}
+            order = [(label, i + 1) for i, label in enumerate(labels)]
+            rng.shuffle(order)
+            rows = fixed_scores(order, values)
+            args = (f"t{step}", arrival, step, rows, fixed_durations(durations), (lo, hi), schedules)
+            ours, ref = allocate(*args), allocate_full(*args)
+            assert _decision_bits(ours) == _decision_bits(ref), (case, step)
+
+            idle = {label for label in labels if arrival >= schedules[label].last_end}
+            winner = next((c for c in ours.candidates if c.node == ours.chosen), None)
+            top = [c for c in ours.candidates if c.admissible and c.combined == winner.combined] if winner else []
+            seen["idle winner"] += ours.chosen in idle
+            seen["busy winner"] += ours.chosen is not None and ours.chosen not in idle
+            seen["late window"] += ours.chosen in idle and lo > arrival and lo < 1e308
+            seen["idle deadline miss"] += any(
+                c.exclusion == "window-violation" and c.node in idle and hi < math.inf for c in ours.candidates
+            )
+            seen["idle inf end"] += any(
+                c.exclusion == "window-violation" and c.node in idle and hi == math.inf for c in ours.candidates
+            )
+            seen["inf tie"] += len(top) > 1 and top[0].combined == math.inf
+            seen["tie"] += len(top) > 1
+            seen["zero score"] += any(c.exclusion == "zero-score" for c in ours.candidates)
+            seen["no capable node"] += ours.rationale == NO_CAPABLE_NODE
+            seen["min-loss"] += ours.rationale == MIN_LOSS
+            commit_decision(ours, schedules)
+            arrival += rng.choice((0.0, 0.5, 2.0))
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("busy", [False, True])
+def test_allocate_rejects_a_non_positive_duration_on_idle_and_busy_nodes(duration, busy):
+    schedules = {"n1": node_schedule(("a", 0.0, 4.0, 1.0)), "n2": NodeSchedule()}
+    rows = fixed_scores([("n1", 1), ("n2", 2)], {"n1": 0.5 if busy else 0.0, "n2": 0.0 if busy else 0.5})
+    for decide_with in (allocate, allocate_full):
+        with pytest.raises(ValueError, match="duration must be positive"):
+            decide_with("t", 1.0, 0, rows, fixed_durations({"n1": duration, "n2": duration}), (0.0, math.inf),
+                        schedules)
+
+
+def test_an_idle_winners_report_is_built_by_schedule_impact(monkeypatch):
+    """Only the winner's report is built, and an idle winner's comes from
+    the same two functions a busy candidate's does."""
+    calls = []
+    for name in ("schedule_impact", "reallocation_loss"):
+        original = getattr(allocator, name)
+        monkeypatch.setattr(allocator, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    schedules = {f"n{i}": NodeSchedule() for i in range(1, 6)}
+    decision = decide(schedules, dict.fromkeys(schedules, 0.5), dict.fromkeys(schedules, 2.0), arrival=1.0)
+    assert (decision.chosen, decision.rationale) == ("n1", NON_PERTURBING)
+    assert calls == ["schedule_impact", "reallocation_loss"]
+    assert (decision.impact.start, decision.impact.end, decision.impact.first) == (1.0, 3.0, 0)
 
 
 # ------------------------------------------------------------ arrival loop

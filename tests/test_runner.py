@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import importlib.util
 import math
 import pathlib
@@ -294,6 +295,35 @@ def test_sample_mode_warns_with_the_first_late_draw(three_robots, monkeypatch):
         f"task T on {src}: round-trip total {value:.6g} exceeds deadline 300"
         for src, value in first_late.items()
     ]
+
+
+# SHA-256 of the table, jsonl and csv reports of three_robots.scn in sample
+# mode over four arrivals, with every override kept and with R2's dropped
+OVERRIDDEN_SAMPLE_SHA256 = {
+    ("R1 R2 R3", "table"): "d5685b9aee3feac4ff0eab7a1af54effe905846be377907097bbe984238ffff6",
+    ("R1 R2 R3", "jsonl"): "42054079fa3e9adffcc5eb218c9e4c3bc883d9cc6078e5633ba90d1a7ef6c166",
+    ("R1 R2 R3", "csv"): "d8cb7014a9a61aba6ca404a8d92fb1bc0394ea9a1f82071871672df66e907ed4",
+    ("R1 R3", "table"): "c1f1f7b6a1990cc9009f93db24ee00817f9602ead8dde4bde1f42d801226ddcf",
+    ("R1 R3", "jsonl"): "6bb44075f5af32e7c4952db573927b9639facf86d24e9f96c0f08378f50aca6f",
+    ("R1 R3", "csv"): "28e011f90d8666871b439e1b5c78c6acfb5b072d03987a2faba69f0c344d279c",
+}
+
+
+@pytest.mark.parametrize("kept", ["R1 R2 R3", "R1 R3"])
+def test_sample_mode_keeps_overridden_scores_across_arrivals(three_robots, kept):
+    text = three_robots if "R2" in kept else three_robots.replace("override comm T R2 0.00407\n", "")
+    sc = parse_scenario(with_arrivals(text, (0.0, 1.0, 2.0, 3.0)))
+    report = run(sc, mode="sample")
+    assert len(report.decisions) == 4
+    for label in ("R1", "R2", "R3"):
+        scores = [by_node(decision)[label].scores for decision in report.decisions]
+        if label in kept.split():
+            assert all(s is scores[0] for s in scores)
+        else:  # redrawn at every arrival
+            assert len({s[Subspace.COMM] for s in scores}) == 4
+    for fmt in ("table", "jsonl", "csv"):
+        digest = hashlib.sha256(emit_report(report, fmt).encode("utf-8")).hexdigest()
+        assert digest == OVERRIDDEN_SAMPLE_SHA256[kept, fmt]
 
 
 def generated_scenario(seed, nodes=40, tasks=3, vertices=6, arrivals=300):
